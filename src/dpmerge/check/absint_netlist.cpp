@@ -86,14 +86,14 @@ CheckReport lint_netlist_deadlogic(const Netlist& nl,
   st.gates = nl.gate_count();
 
   // Forward: tri-state values per net. Constants are pinned, every other
-  // undriven net (primary inputs) varies; gates evaluate in topo order.
+  // undriven net (primary inputs) varies; gates evaluate in gate order,
+  // which is topological order.
   std::vector<unsigned char> tri(static_cast<std::size_t>(nl.net_count()),
                                  kU);
   tri[static_cast<std::size_t>(nl.const0().value)] = kF;
   tri[static_cast<std::size_t>(nl.const1().value)] = kT;
-  const std::vector<GateId> order = nl.topo_gates();
-  for (GateId gid : order) {
-    const Gate& gt = nl.gates()[static_cast<std::size_t>(gid.value)];
+  const std::vector<Gate>& gates = nl.gates();
+  for (const Gate& gt : gates) {
     tri[static_cast<std::size_t>(gt.output.value)] = eval_gate(gt, tri);
   }
 
@@ -106,8 +106,8 @@ CheckReport lint_netlist_deadlogic(const Netlist& nl,
       if (n.valid()) obs_net[static_cast<std::size_t>(n.value)] = 1;
     }
   }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const Gate& gt = nl.gates()[static_cast<std::size_t>(it->value)];
+  for (auto it = gates.rbegin(); it != gates.rend(); ++it) {
+    const Gate& gt = *it;
     const auto out_idx = static_cast<std::size_t>(gt.output.value);
     if (!obs_net[out_idx]) continue;
     if (tri[out_idx] != kU) continue;  // constant output: influence stops
@@ -131,8 +131,8 @@ CheckReport lint_netlist_deadlogic(const Netlist& nl,
     if (owner >= 0) l.aux = owner;  // owning DFG node, when provenance is on
     return l;
   };
-  for (GateId gid : order) {
-    const Gate& gt = nl.gates()[static_cast<std::size_t>(gid.value)];
+  for (const Gate& gt : gates) {
+    const GateId gid = gt.id;
     const auto out_idx = static_cast<std::size_t>(gt.output.value);
     if (tri[out_idx] != kU) {
       ++st.constant_cells;

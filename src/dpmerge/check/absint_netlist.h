@@ -26,7 +26,8 @@ struct NetlistAbsintStats {
   int gates = 0;
 };
 
-/// Runs both sweeps. At most `max_findings` diagnostics are emitted (the
+/// Runs both sweeps. Findings come in gate-index order (the netlist's
+/// topological order). At most `max_findings` diagnostics are emitted (the
 /// stats count everything); pass a negative cap for no limit.
 CheckReport lint_netlist_deadlogic(const netlist::Netlist& nl,
                                    NetlistAbsintStats* stats = nullptr,

@@ -253,8 +253,7 @@ std::vector<std::pair<std::string, Word>> sym_eval_netlist(
           w.bits[static_cast<std::size_t>(i)];
     }
   }
-  for (netlist::GateId gid : n.topo_gates()) {
-    const Gate& g = n.gates()[static_cast<std::size_t>(gid.value)];
+  for (const Gate& g : n.gates()) {  // gate order is topological order
     auto inv = [&](int k) {
       return value[static_cast<std::size_t>(g.inputs[static_cast<std::size_t>(k)].value)];
     };

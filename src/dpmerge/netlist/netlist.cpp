@@ -1,8 +1,13 @@
 #include "dpmerge/netlist/netlist.h"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace dpmerge::netlist {
+
+void Pins::throw_too_many(std::size_t pins) {
+  throw std::invalid_argument("a gate has at most " + std::to_string(kMax) +
+                              " input pins, got " + std::to_string(pins));
+}
 
 Netlist::Netlist() {
   new_net();  // net 0: constant 0
@@ -14,28 +19,122 @@ NetId Netlist::new_net() {
   return NetId{net_count_++};
 }
 
-NetId Netlist::add_gate(CellType t, std::vector<NetId> inputs) {
+NetId Netlist::add_gate(CellType t, Pins inputs) {
+  check_new_gate(t, inputs, NetId{});
   const NetId out = new_net();
-  add_gate_driving(t, std::move(inputs), out);
+  append_gate(t, inputs, out);
   return out;
 }
 
-GateId Netlist::add_gate_driving(CellType t, std::vector<NetId> inputs,
-                                 NetId out) {
-  assert(static_cast<int>(inputs.size()) == cell_input_count(t));
+void Netlist::check_new_gate(CellType t, const Pins& inputs, NetId out) const {
+  auto at = [&] {
+    return "gate " + std::to_string(gates_.size()) + " (" +
+           std::string(to_string(t)) + ")";
+  };
+  const int want = cell_input_count(t);
+  if (static_cast<int>(inputs.size()) != want) {
+    throw std::invalid_argument(at() + ": expects " + std::to_string(want) +
+                                " input pin(s), got " +
+                                std::to_string(inputs.size()));
+  }
+  for (std::size_t pin = 0; pin < inputs.size(); ++pin) {
+    const NetId in = inputs[pin];
+    if (in.value < 0 || in.value >= net_count_) {
+      throw std::invalid_argument(at() + " pin " + std::to_string(pin) +
+                                  ": net " + std::to_string(in.value) +
+                                  " does not exist");
+    }
+    if (in == out) {
+      throw std::invalid_argument(at() + " pin " + std::to_string(pin) +
+                                  " reads its own output net " +
+                                  std::to_string(in.value));
+    }
+  }
+  if (!out.valid()) return;  // add_gate: the output is a fresh net
+  if (out.value >= net_count_) {
+    throw std::invalid_argument(at() + ": output net " +
+                                std::to_string(out.value) + " does not exist");
+  }
+  if (is_const(out)) {
+    throw std::invalid_argument(at() + ": drives constant net " +
+                                std::to_string(out.value));
+  }
+  const int drv = driver_of_[static_cast<std::size_t>(out.value)];
+  if (drv >= 0) {
+    throw std::invalid_argument(at() + ": net " + std::to_string(out.value) +
+                                " is already driven by gate " +
+                                std::to_string(drv));
+  }
+  for (const Gate& g : gates_) {
+    for (NetId in : g.inputs) {
+      if (in == out) {
+        throw std::invalid_argument(
+            at() + ": net " + std::to_string(out.value) +
+            " is already read by earlier gate " + std::to_string(g.id.value) +
+            "; gates must be added in topological order");
+      }
+    }
+  }
+}
+
+GateId Netlist::add_gate_driving(CellType t, Pins inputs, NetId out) {
+  check_new_gate(t, inputs, out);
+  return append_gate(t, inputs, out);
+}
+
+GateId Netlist::append_gate(CellType t, const Pins& inputs, NetId out) {
   Gate g;
   g.id = GateId{static_cast<int>(gates_.size())};
   g.type = t;
-  g.inputs = std::move(inputs);
+  g.inputs = inputs;
   g.output = out;
-  assert(driver_of_[static_cast<std::size_t>(out.value)] == -1 &&
-         "net already driven");
   driver_of_[static_cast<std::size_t>(out.value)] = g.id.value;
-  gates_.push_back(std::move(g));
+  gates_.push_back(g);
 #ifndef DPMERGE_OBS_DISABLED
   gate_owner_.push_back(current_owner_);
 #endif
-  return gates_.back().id;
+  return g.id;
+}
+
+int Netlist::insert_buffer(NetId net, GateId keep_reader) {
+  if (net.value < 0 || net.value >= net_count_ || is_const(net)) {
+    throw std::invalid_argument("insert_buffer: net " +
+                                std::to_string(net.value) +
+                                " is not a bufferable net");
+  }
+  const int drv = driver_of_[static_cast<std::size_t>(net.value)];
+  const int pos = drv >= 0 ? drv + 1 : 0;
+  const NetId buffered = new_net();
+
+  Gate b;
+  b.id = GateId{pos};
+  b.type = CellType::BUF;
+  b.inputs = {net};
+  b.output = buffered;
+  gates_.insert(gates_.begin() + pos, b);
+#ifndef DPMERGE_OBS_DISABLED
+  gate_owner_.insert(gate_owner_.begin() + pos, current_owner_);
+#endif
+  driver_of_[static_cast<std::size_t>(buffered.value)] = pos;
+
+  // Every reader of `net` follows its driver, so one sweep over the shifted
+  // tail renumbers the gates and finds all the pins to rewire.
+  int rewired = 0;
+  for (std::size_t i = static_cast<std::size_t>(pos) + 1; i < gates_.size();
+       ++i) {
+    Gate& g = gates_[i];
+    const bool keep = g.id == keep_reader;
+    g.id = GateId{static_cast<int>(i)};
+    driver_of_[static_cast<std::size_t>(g.output.value)] = g.id.value;
+    if (keep) continue;
+    for (NetId& in : g.inputs) {
+      if (in == net) {
+        in = buffered;
+        ++rewired;
+      }
+    }
+  }
+  return rewired;
 }
 
 NetId Netlist::inv(NetId a) {
@@ -166,39 +265,15 @@ const Gate* Netlist::driver(NetId n) const {
   return g < 0 ? nullptr : &gates_[static_cast<std::size_t>(g)];
 }
 
-std::vector<GateId> Netlist::topo_gates() const {
-  std::vector<int> pending(gates_.size(), 0);
-  // fanout_gates[net] -> gates reading it.
-  std::vector<std::vector<int>> readers(static_cast<std::size_t>(net_count_));
-  std::vector<GateId> order;
-  order.reserve(gates_.size());
-  std::vector<int> ready;
-  for (const Gate& g : gates_) {
-    int cnt = 0;
-    for (NetId in : g.inputs) {
-      if (driver_of_[static_cast<std::size_t>(in.value)] >= 0) {
-        ++cnt;
-        readers[static_cast<std::size_t>(in.value)].push_back(g.id.value);
-      }
-    }
-    pending[static_cast<std::size_t>(g.id.value)] = cnt;
-    if (cnt == 0) ready.push_back(g.id.value);
-  }
-  while (!ready.empty()) {
-    const int gi = ready.back();
-    ready.pop_back();
-    order.push_back(GateId{gi});
-    const NetId out = gates_[static_cast<std::size_t>(gi)].output;
-    for (int r : readers[static_cast<std::size_t>(out.value)]) {
-      if (--pending[static_cast<std::size_t>(r)] == 0) ready.push_back(r);
-    }
-  }
-  assert(order.size() == gates_.size() && "combinational cycle");
-  return order;
-}
-
 std::vector<std::string> Netlist::validate() const {
   std::vector<std::string> errs;
+  // Drivers as the gates stand now; `driver_of_` does not see edits made
+  // through mutable_gates().
+  std::vector<int> drv(static_cast<std::size_t>(net_count_), -1);
+  for (std::size_t gi = 0; gi < gates_.size(); ++gi) {
+    drv[static_cast<std::size_t>(gates_[gi].output.value)] =
+        static_cast<int>(gi);
+  }
   std::vector<bool> has_pi(static_cast<std::size_t>(net_count_), false);
   has_pi[0] = has_pi[1] = true;  // constants
   for (const Bus& b : inputs_) {
@@ -206,20 +281,24 @@ std::vector<std::string> Netlist::validate() const {
       has_pi[static_cast<std::size_t>(n.value)] = true;
     }
   }
-  for (const Gate& g : gates_) {
+  bool ordered = true;
+  for (std::size_t gi = 0; gi < gates_.size(); ++gi) {
+    const Gate& g = gates_[gi];
     for (NetId in : g.inputs) {
-      if (driver_of_[static_cast<std::size_t>(in.value)] < 0 &&
-          !has_pi[static_cast<std::size_t>(in.value)]) {
-        errs.push_back("gate " + std::to_string(g.id.value) +
+      const int d = drv[static_cast<std::size_t>(in.value)];
+      if (d < 0 && !has_pi[static_cast<std::size_t>(in.value)]) {
+        errs.push_back("gate " + std::to_string(gi) +
                        ": floating input net " + std::to_string(in.value));
+      } else if (ordered && d >= static_cast<int>(gi)) {
+        ordered = false;
+        errs.push_back("gate " + std::to_string(gi) + " reads net " +
+                       std::to_string(in.value) + " driven by later gate " +
+                       std::to_string(d));
       }
     }
     if (g.output.value <= 1) {
       errs.push_back("gate drives a constant net");
     }
-  }
-  if (topo_gates().size() != gates_.size()) {
-    errs.push_back("combinational cycle");
   }
   return errs;
 }

@@ -1,5 +1,9 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -20,11 +24,44 @@ struct GateId {
   auto operator<=>(const GateId&) const = default;
 };
 
+/// A gate's input pins, held inline: no library cell has more than `kMax`
+/// inputs, so a gate needs no heap allocation of its own.
+class Pins {
+ public:
+  static constexpr int kMax = 3;
+
+  Pins() = default;
+  /// Throws std::invalid_argument for more than `kMax` pins.
+  Pins(std::initializer_list<NetId> pins) {
+    if (pins.size() > kMax) throw_too_many(pins.size());
+    for (NetId n : pins) pin_[count_++] = n;
+  }
+
+  std::size_t size() const { return count_; }
+  NetId& operator[](std::size_t i) { return pin_[i]; }
+  const NetId& operator[](std::size_t i) const { return pin_[i]; }
+  NetId* begin() { return pin_.data(); }
+  NetId* end() { return pin_.data() + count_; }
+  const NetId* begin() const { return pin_.data(); }
+  const NetId* end() const { return pin_.data() + count_; }
+  /// Throws std::invalid_argument when all `kMax` pins are in use.
+  void push_back(NetId n) {
+    if (count_ == kMax) throw_too_many(kMax + 1);
+    pin_[count_++] = n;
+  }
+
+ private:
+  [[noreturn]] static void throw_too_many(std::size_t pins);
+
+  std::array<NetId, kMax> pin_{};
+  std::uint8_t count_ = 0;
+};
+
 struct Gate {
   GateId id;
   CellType type = CellType::INV;
   int drive = 0;  ///< drive-strength variant index (0 = X1)
-  std::vector<NetId> inputs;
+  Pins inputs;
   NetId output;
 };
 
@@ -46,6 +83,14 @@ struct Bus {
 /// constant nets (undriven; simulation and timing treat them as stable 0/1
 /// with arrival time 0).
 ///
+/// Gate order is topological order: every gate reads only constants, nets
+/// no gate drives (primary inputs) and nets driven by earlier gates.
+/// Appending keeps it (`add_gate` drives a fresh net; `add_gate_driving`
+/// rejects a net an earlier gate reads), and so does `insert_buffer`, the
+/// timing optimiser's fanout split. So STA, simulation and the checkers
+/// walk `gates()` front to back with no sort. Only direct writes through
+/// `mutable_gates()` can break the order; `validate()` reports it.
+///
 /// Gate construction helpers return the freshly driven output net. The
 /// constant-folding helpers (`and2`, `or2`, ...) peephole away gates whose
 /// inputs are the constant nets — width adaptation and masked partial
@@ -59,10 +104,27 @@ class Netlist {
   NetId const1() const { return NetId{1}; }
   bool is_const(NetId n) const { return n.value <= 1; }
 
-  /// Raw gate creation (no folding).
-  NetId add_gate(CellType t, std::vector<NetId> inputs);
-  /// Re-drives an existing net with a gate (used by buffering transforms).
-  GateId add_gate_driving(CellType t, std::vector<NetId> inputs, NetId out);
+  /// Raw gate creation (no folding): appends a gate driving a fresh net.
+  /// Throws std::invalid_argument, naming the gate, when the pin count does
+  /// not match the cell or an input net does not exist.
+  NetId add_gate(CellType t, Pins inputs);
+  /// Appends a gate driving the existing, undriven net `out`. Besides the
+  /// `add_gate` checks, throws std::invalid_argument when `out` is a
+  /// constant, already driven, or already read by an earlier gate (driving
+  /// it would put a reader before its driver). That last check scans the
+  /// gates; `add_gate` needs none of it, as its output net is fresh.
+  GateId add_gate_driving(CellType t, Pins inputs, NetId out);
+
+  /// Splits the fanout of `net`: inserts a BUF reading `net` directly after
+  /// its driver (at index 0 for a primary input) and moves every reader
+  /// pin except those of gate `keep_reader` onto the buffer's output, a
+  /// fresh net. Later gates shift one slot, with their ids, drivers and
+  /// provenance tags, so the gate order stays topological. `keep_reader`
+  /// is a gate id from before the call; pass GateId{} to rewire every
+  /// reader. Output bus bits stay on `net`. Returns the number of reader
+  /// pins moved. Throws std::invalid_argument for a constant or
+  /// nonexistent net.
+  int insert_buffer(NetId net, GateId keep_reader);
 
   // Folding helpers.
   NetId inv(NetId a);
@@ -136,15 +198,19 @@ class Netlist {
   /// Driver gate of a net, or nullptr for primary inputs / constants.
   const Gate* driver(NetId n) const;
 
-  /// Gates in topological order (inputs first). Recomputed on demand —
-  /// optimisation passes may insert gates out of order.
-  std::vector<GateId> topo_gates() const;
-
-  /// Structural checks: single driver per net, no combinational cycles, all
-  /// gate inputs driven or primary/constant.
+  /// Structural checks over the gates as they stand (edits through
+  /// `mutable_gates()` included): all gate inputs driven or primary/
+  /// constant, no gate driving a constant net, and the order invariant —
+  /// the first forward reference is reported as "gate G reads net N driven
+  /// by later gate K". A combinational cycle always contains one.
   std::vector<std::string> validate() const;
 
  private:
+  /// Throws unless a gate of type `t` reading `inputs` may be appended
+  /// driving `out` (`NetId{}`: a fresh net).
+  void check_new_gate(CellType t, const Pins& inputs, NetId out) const;
+  GateId append_gate(CellType t, const Pins& inputs, NetId out);
+
   int net_count_ = 0;
   std::vector<Gate> gates_;
   std::vector<int> driver_of_;  // net -> gate index, -1 if none

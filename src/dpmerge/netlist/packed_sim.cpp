@@ -6,8 +6,7 @@
 
 namespace dpmerge::netlist {
 
-PackedSimulator::PackedSimulator(const Netlist& n)
-    : net_(n), order_(n.topo_gates()) {}
+PackedSimulator::PackedSimulator(const Netlist& n) : net_(n) {}
 
 std::vector<PackedSimulator::PackedBus> PackedSimulator::run(
     const std::vector<PackedBus>& inputs) const {
@@ -30,10 +29,8 @@ std::vector<PackedSimulator::PackedBus> PackedSimulator::run(
     }
   }
 
-  const Gate* gates = net_.gates().data();
-  std::uint64_t ins[3];
-  for (GateId gid : order_) {
-    const Gate& g = gates[static_cast<std::size_t>(gid.value)];
+  std::uint64_t ins[Pins::kMax];
+  for (const Gate& g : net_.gates()) {  // gate order is topological order
     for (std::size_t k = 0; k < g.inputs.size(); ++k) {
       ins[k] = value[static_cast<std::size_t>(g.inputs[k].value)];
     }

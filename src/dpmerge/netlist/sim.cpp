@@ -6,7 +6,7 @@
 
 namespace dpmerge::netlist {
 
-Simulator::Simulator(const Netlist& n) : net_(n), order_(n.topo_gates()) {}
+Simulator::Simulator(const Netlist& n) : net_(n) {}
 
 std::vector<BitVector> Simulator::run(
     const std::vector<BitVector>& inputs) const {
@@ -30,8 +30,7 @@ std::vector<BitVector> Simulator::run(
   }
 
   std::vector<bool> ins;
-  for (GateId gid : order_) {
-    const Gate& g = net_.gates()[static_cast<std::size_t>(gid.value)];
+  for (const Gate& g : net_.gates()) {
     ins.clear();
     for (NetId in : g.inputs) {
       ins.push_back(value[static_cast<std::size_t>(in.value)]);

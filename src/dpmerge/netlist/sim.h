@@ -8,10 +8,10 @@
 
 namespace dpmerge::netlist {
 
-/// Cycle-free functional simulation of a netlist: evaluates every gate once
-/// in topological order. This is the scalar reference oracle; bulk
-/// simulation (verification sweeps) goes through `PackedSimulator`, which
-/// evaluates 64 stimulus vectors per pass.
+/// Cycle-free functional simulation of a netlist: evaluates every gate once,
+/// in gate order (which is topological order). This is the scalar reference
+/// oracle; bulk simulation (verification sweeps) goes through
+/// `PackedSimulator`, which evaluates 64 stimulus vectors per pass.
 class Simulator {
  public:
   explicit Simulator(const Netlist& n);
@@ -29,7 +29,6 @@ class Simulator {
 
  private:
   const Netlist& net_;
-  std::vector<GateId> order_;
 };
 
 }  // namespace dpmerge::netlist

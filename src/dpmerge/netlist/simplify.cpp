@@ -1,7 +1,8 @@
 #include "dpmerge/netlist/simplify.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 namespace dpmerge::netlist {
@@ -22,7 +23,7 @@ bool commutative(CellType t) {
   }
 }
 
-std::uint64_t gate_key(CellType t, const std::vector<NetId>& ins) {
+std::uint64_t gate_key(CellType t, const Pins& ins) {
   std::uint64_t k = static_cast<std::uint64_t>(t) + 1;
   for (NetId n : ins) {
     k = k * 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(n.value) + 1;
@@ -66,13 +67,17 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
     return NetId{};
   };
 
-  for (GateId gid : n.topo_gates()) {
-    const Gate& g = n.gates()[static_cast<std::size_t>(gid.value)];
-    std::vector<NetId> ins;
-    ins.reserve(g.inputs.size());
+  for (const Gate& g : n.gates()) {  // gate order is topological order
+    Pins ins;
     for (NetId in : g.inputs) {
       const NetId m = map[static_cast<std::size_t>(in.value)];
-      assert(m.valid() && "input net not yet rebuilt");
+      if (!m.valid()) {
+        throw std::invalid_argument(
+            "simplify: gate " + std::to_string(g.id.value) + " reads net " +
+            std::to_string(in.value) +
+            ", which is neither a primary input nor driven by an earlier "
+            "gate");
+      }
       ins.push_back(m);
     }
     if (commutative(g.type) && ins[0].value > ins[1].value) {
@@ -182,10 +187,9 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
       }
       pruned.add_input(nb.name, nb.signal);
     }
-    for (GateId gid : out.topo_gates()) {
-      const Gate& g = out.gates()[static_cast<std::size_t>(gid.value)];
+    for (const Gate& g : out.gates()) {
       if (!live[static_cast<std::size_t>(g.output.value)]) continue;
-      std::vector<NetId> ins;
+      Pins ins;
       for (NetId in : g.inputs) {
         auto& slot = pmap[static_cast<std::size_t>(in.value)];
         if (!slot.valid()) slot = pruned.new_net();  // shouldn't happen

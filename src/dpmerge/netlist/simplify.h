@@ -15,7 +15,9 @@ struct SimplifyStats {
 /// identities), structurally hashes gates (common-subexpression
 /// elimination, commutative inputs normalised), collapses double
 /// inverters, and drops logic no output can observe. Functionality is
-/// preserved exactly; gate count never increases.
+/// preserved exactly; gate count never increases. Throws
+/// std::invalid_argument when a gate reads a net that is neither a primary
+/// input nor driven by an earlier gate.
 Netlist simplify(const Netlist& n, SimplifyStats* stats = nullptr);
 
 }  // namespace dpmerge::netlist

@@ -29,8 +29,7 @@ TimingReport Sta::analyze(const Netlist& n) const {
 
   const std::vector<double> load = net_loads(n);
 
-  for (GateId gid : n.topo_gates()) {
-    const Gate& g = n.gates()[static_cast<std::size_t>(gid.value)];
+  for (const Gate& g : n.gates()) {  // gate order is topological order
     const CellVariant& v = lib_.variant(g.type, g.drive);
     const double d =
         v.intrinsic_ns +
@@ -71,9 +70,14 @@ TimingReport Sta::analyze(const Netlist& n) const {
 }
 
 double Sta::area(const Netlist& n) const {
+  // Summed in gate creation order — ascending output net, as every gate's
+  // output net is created with it — so the total, to the last bit, does not
+  // depend on where Netlist::insert_buffer placed its buffers.
   double a = 0.0;
-  for (const Gate& g : n.gates()) {
-    a += lib_.variant(g.type, g.drive).area;
+  for (int net = 0; net < n.net_count(); ++net) {
+    if (const Gate* g = n.driver(NetId{net})) {
+      a += lib_.variant(g->type, g->drive).area;
+    }
   }
   return a;
 }
@@ -85,32 +89,37 @@ IncrementalSta::IncrementalSta(const Netlist& n, const CellLibrary& lib)
 
 void IncrementalSta::rebuild() {
   const std::size_t nets = static_cast<std::size_t>(net_.net_count());
-  const std::size_t gates = net_.gates().size();
+  const std::vector<Gate>& gates = net_.gates();
 
-  topo_ = net_.topo_gates();
-  topo_pos_.assign(gates, -1);
-  for (std::size_t p = 0; p < topo_.size(); ++p) {
-    topo_pos_[static_cast<std::size_t>(topo_[p].value)] = static_cast<int>(p);
-  }
-
-  // Reader lists and loads, both accumulated in gate order so per-net sums
-  // are bit-identical (FP addition order) to Sta::net_loads.
-  reader_of_.assign(nets, {});
+  // Reader lists in CSR form: the readers of net n are
+  // reader_[reader_start_[n] .. reader_start_[n + 1]), one entry per
+  // reading pin, in gate order. Loads accumulate in the same gate order as
+  // Sta::net_loads, so per-net sums are bit-identical (FP addition order).
+  reader_start_.assign(nets + 1, 0);
   load_.assign(nets, 0.0);
-  for (std::size_t gi = 0; gi < gates; ++gi) {
-    const Gate& g = net_.gates()[gi];
+  for (const Gate& g : gates) {
+    const double cap = lib_.variant(g.type, g.drive).input_cap;
     for (NetId in : g.inputs) {
-      reader_of_[static_cast<std::size_t>(in.value)].push_back(
-          static_cast<int>(gi));
-      load_[static_cast<std::size_t>(in.value)] +=
-          lib_.variant(g.type, g.drive).input_cap;
+      ++reader_start_[static_cast<std::size_t>(in.value) + 1];
+      load_[static_cast<std::size_t>(in.value)] += cap;
     }
   }
+  for (std::size_t ni = 0; ni < nets; ++ni) {
+    reader_start_[ni + 1] += reader_start_[ni];
+  }
+  reader_.resize(static_cast<std::size_t>(reader_start_[nets]));
 
+  // Second sweep: place readers, and compute arrivals — loads are final and
+  // every gate's inputs are driven by earlier gates.
+  std::vector<int> cursor(reader_start_.begin(), reader_start_.end() - 1);
   arrival_.assign(nets, 0.0);
   from_.assign(nets, NetId{});
-  for (GateId gid : topo_) {
-    recompute_gate(gid.value);
+  for (std::size_t gi = 0; gi < gates.size(); ++gi) {
+    for (NetId in : gates[gi].inputs) {
+      reader_[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(in.value)]++)] = static_cast<int>(gi);
+    }
+    recompute_gate(static_cast<int>(gi));
   }
 
   output_bits_.clear();
@@ -119,7 +128,7 @@ void IncrementalSta::rebuild() {
   }
   refresh_longest();
 
-  queued_.assign(gates, 0);
+  queued_.assign(gates.size(), 0);
 }
 
 void IncrementalSta::recompute_gate(int gate_idx) {
@@ -156,13 +165,14 @@ void IncrementalSta::refresh_longest() {
 void IncrementalSta::update_drive_change(GateId g) {
   const Gate& gate = net_.gates()[static_cast<std::size_t>(g.value)];
 
-  // Min-heap over topo positions so cone gates are re-evaluated in
-  // dependency order (each gate at most once per update).
+  // Min-heap over gate indices — a gate's index is its topological
+  // position — so cone gates are re-evaluated in dependency order (each
+  // gate at most once per update).
   std::priority_queue<int, std::vector<int>, std::greater<int>> pq;
   auto enqueue = [&](int gate_idx) {
     if (!queued_[static_cast<std::size_t>(gate_idx)]) {
       queued_[static_cast<std::size_t>(gate_idx)] = 1;
-      pq.push(topo_pos_[static_cast<std::size_t>(gate_idx)]);
+      pq.push(gate_idx);
     }
   };
 
@@ -174,7 +184,7 @@ void IncrementalSta::update_drive_change(GateId g) {
     const std::size_t ni = static_cast<std::size_t>(in.value);
     double l = 0.0;
     // One reader entry per reading *pin*, in full-pass accumulation order.
-    for (int reader : reader_of_[ni]) {
+    for (int reader : readers(in)) {
       const Gate& r = net_.gates()[static_cast<std::size_t>(reader)];
       l += lib_.variant(r.type, r.drive).input_cap;
     }
@@ -186,18 +196,15 @@ void IncrementalSta::update_drive_change(GateId g) {
 
   int cone_gates = 0;
   while (!pq.empty()) {
-    const int pos = pq.top();
+    const int gi = pq.top();
     pq.pop();
-    const int gi = topo_[static_cast<std::size_t>(pos)].value;
     queued_[static_cast<std::size_t>(gi)] = 0;
     ++cone_gates;
     const NetId out = net_.gates()[static_cast<std::size_t>(gi)].output;
     const double before = arrival_[static_cast<std::size_t>(out.value)];
     recompute_gate(gi);
     if (arrival_[static_cast<std::size_t>(out.value)] != before) {
-      for (int reader : reader_of_[static_cast<std::size_t>(out.value)]) {
-        enqueue(reader);
-      }
+      for (int reader : readers(out)) enqueue(reader);
     }
   }
 

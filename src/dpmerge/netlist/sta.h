@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,15 +47,16 @@ class Sta {
 ///   (a) the loads of that gate's input nets (its input caps changed), and
 ///   (b) delays/arrivals in the forward cone of the gate and of its input
 ///       nets' drivers,
-/// so `update_drive_change` walks a topologically-ordered worklist over
-/// exactly that cone and stops where arrivals (and critical-path `from`
-/// links) settle. Invariants maintained between calls:
+/// so `update_drive_change` walks a worklist ordered by gate index — the
+/// netlist's topological order — over exactly that cone and stops where
+/// arrivals (and critical-path `from` links) settle. Reader lists are owned
+/// here, in CSR form. Invariants maintained between calls:
 ///   - `load_[n]`    == sum of reader-pin input caps of net n
 ///   - `arrival_[n]` == Sta::analyze arrival of net n
 ///   - `from_[n]`    == latest-arriving input of n's driver (ties broken
 ///                      identically to Sta::analyze: last input wins)
-/// Any structural edit (adding gates, rewiring inputs) invalidates the
-/// state; call `rebuild()` afterwards.
+/// Any structural edit (adding gates, `Netlist::insert_buffer`) invalidates
+/// the state; call `rebuild()` afterwards — one linear pass, no sort.
 class IncrementalSta {
  public:
   IncrementalSta(const Netlist& n, const CellLibrary& lib);
@@ -85,12 +87,17 @@ class IncrementalSta {
  private:
   void recompute_gate(int gate_idx);
   void refresh_longest();
+  /// Reader gate indices of net `n`, one per reading pin, in gate order.
+  std::span<const int> readers(NetId n) const {
+    const auto ni = static_cast<std::size_t>(n.value);
+    return {reader_.data() + reader_start_[ni],
+            reader_.data() + reader_start_[ni + 1]};
+  }
 
   const Netlist& net_;
   const CellLibrary& lib_;
-  std::vector<GateId> topo_;
-  std::vector<int> topo_pos_;                // gate idx -> topo position
-  std::vector<std::vector<int>> reader_of_;  // net -> reader gate idxs
+  std::vector<int> reader_start_;            // per net + 1: CSR offsets
+  std::vector<int> reader_;                  // reader gate idxs, by net
   std::vector<double> arrival_;              // per net
   std::vector<double> load_;                 // per net
   std::vector<NetId> from_;                  // per net: critical predecessor

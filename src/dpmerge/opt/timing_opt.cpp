@@ -30,6 +30,9 @@ namespace {
 
 void cross_check(const Sta& sta, const Netlist& net,
                  const IncrementalSta& ista) {
+  if (const auto errs = net.validate(); !errs.empty()) {
+    throw std::logic_error("netlist invariant broken: " + errs.front());
+  }
   const auto full = sta.analyze(net);
   if (std::abs(full.longest_path_ns - ista.longest_path_ns()) > 1e-9) {
     throw std::logic_error("incremental STA longest path diverged from full");
@@ -59,7 +62,8 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
     if (opt.cross_check_sta) cross_check(sta, net, ista);
   };
 
-  std::set<int> locked_upsize;   // gate ids where upsizing didn't help
+  // Both keyed by net id: buffer insertion shifts gate ids, not net ids.
+  std::set<int> locked_upsize;   // output nets of gates upsizing didn't help
   std::set<int> locked_buffer;   // nets already buffer-split
 
   while (ista.longest_path_ns() > opt.target_ns && res.moves < opt.max_moves) {
@@ -72,7 +76,7 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
     for (NetId pn : path) {
       const Gate* d = net.driver(pn);
       if (!d || d->drive + 1 >= netlist::kDriveLevels) continue;
-      if (locked_upsize.count(d->id.value)) continue;
+      if (locked_upsize.count(d->output.value)) continue;
       const CellVariant& cur = lib_.variant(d->type, d->drive);
       const CellVariant& up = lib_.variant(d->type, d->drive + 1);
       const double gain = (cur.drive_res_ns - up.drive_res_ns) * ista.load(pn);
@@ -100,7 +104,7 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
         --g.drive;  // revert: the larger input cap hurt upstream more
         ista.update_drive_change(g.id);
         check();
-        locked_upsize.insert(best_gate.value);
+        locked_upsize.insert(g.output.value);
         obs::stat_add("opt.upsize.reject");
       }
       if (obs::tracing()) {
@@ -140,20 +144,9 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
           }
         }
         const double before_ns = ista.longest_path_ns();
-        const NetId buffered = net.buf(worst);
-        int rewired = 0;
-        for (Gate& g : net.mutable_gates()) {
-          if (g.id.value == keep_gate) continue;
-          if (g.output == buffered) continue;  // the buffer itself
-          for (NetId& in : g.inputs) {
-            if (in == worst) {
-              in = buffered;
-              ++rewired;
-            }
-          }
-        }
-        // Topology changed: incremental state is stale, rebuild from
-        // scratch (buffer moves are rare next to drive changes).
+        const int rewired = net.insert_buffer(worst, GateId{keep_gate});
+        // Topology changed: incremental state is stale; rebuild it in one
+        // linear pass (insert_buffer kept the gate order topological).
         ista.rebuild();
         check();
         const double delta_ns = before_ns - ista.longest_path_ns();
@@ -190,7 +183,7 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
       for (NetId pn : ista.critical_path()) {
         const Gate* d = net.driver(pn);
         if (d && d->drive + 1 < netlist::kDriveLevels &&
-            !locked_upsize.count(d->id.value)) {
+            !locked_upsize.count(d->output.value)) {
           any_left = true;
         }
       }
@@ -199,9 +192,14 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
   }
 
   // Area recovery: once the target is met, try to give back the sizing on
-  // cells that no longer need it.
+  // cells that no longer need it. Gates are visited in creation order —
+  // ascending output net, as every gate's output net is created with it —
+  // not in gate order, where inserted buffers sit beside their drivers.
   if (opt.recover_area && ista.longest_path_ns() <= opt.target_ns) {
-    for (Gate& g : net.mutable_gates()) {
+    for (int n = 0; n < net.net_count(); ++n) {
+      const Gate* d = net.driver(NetId{n});
+      if (!d) continue;
+      Gate& g = net.mutable_gates()[static_cast<std::size_t>(d->id.value)];
       while (g.drive > 0) {
         --g.drive;
         ista.update_drive_change(g.id);

@@ -13,11 +13,12 @@ namespace dpmerge::opt {
 ///   (a) upsizing cells on the critical path (X1 -> X2 -> X4), and
 ///   (b) buffering heavily loaded critical nets.
 /// Timing is maintained incrementally (`netlist::IncrementalSta`): a drive
-/// change re-propagates arrivals over the affected forward cone only; only
-/// topology-changing buffer moves pay for a full rebuild. Runtime therefore
-/// grows with netlist size and with the distance from the target — the
-/// property Table 2 measures (smaller, faster initial netlists need far less
-/// optimisation effort).
+/// change re-propagates arrivals over the affected forward cone only; a
+/// buffer move splits the fanout in place (`Netlist::insert_buffer`, which
+/// keeps the gate order topological) and pays one linear rebuild. Runtime
+/// therefore grows with netlist size and with the distance from the
+/// target — the property Table 2 measures (smaller, faster initial netlists
+/// need far less optimisation effort).
 struct TimingOptOptions {
   double target_ns = 0.0;
   int max_moves = 200000;
@@ -27,9 +28,11 @@ struct TimingOptOptions {
   /// and shrink any whose downsizing keeps the target met (area recovery —
   /// commercial optimisers always finish with this).
   bool recover_area = true;
-  /// Debug: after every incremental timing update, cross-check arrivals and
-  /// the longest path against a full `Sta::analyze` and throw
-  /// `std::logic_error` on divergence. Expensive — test/debug builds only.
+  /// Debug: after every incremental timing update, check the netlist
+  /// (`Netlist::validate`, which includes the topological gate order) and
+  /// cross-check arrivals and the longest path against a full
+  /// `Sta::analyze`; throw `std::logic_error` on any failure. Expensive —
+  /// test/debug builds only.
   bool cross_check_sta = false;
 };
 

@@ -77,20 +77,15 @@ TEST(IncrementalSta, RebuildRestoresInvariantsAfterTopologyEdit) {
     }
   }
   ASSERT_TRUE(worst.valid());
-  const NetId buffered = flow.net.buf(worst);
-  bool first = true;
-  for (auto& g : flow.net.mutable_gates()) {
-    if (g.output == buffered) continue;
-    for (NetId& in : g.inputs) {
-      if (in == worst) {
-        if (first) {
-          first = false;  // keep one reader on the original net
-        } else {
-          in = buffered;
-        }
-      }
+  // Keep the first reader on the original net.
+  GateId keep{};
+  for (const auto& g : flow.net.gates()) {
+    for (NetId in : g.inputs) {
+      if (in == worst && keep.value < 0) keep = g.id;
     }
   }
+  EXPECT_GT(flow.net.insert_buffer(worst, keep), 0);
+  EXPECT_TRUE(flow.net.validate().empty());
   ista.rebuild();
   expect_matches_full(flow.net, ista, sta, "after rebuild");
 }

@@ -1,0 +1,342 @@
+// Gate order is topological order by construction. These tests keep the
+// Kahn sort that STA and simulation used to run as a reference oracle, and
+// check on every netlist the flows produce that
+//   - no gate reads a net driven by a later gate,
+//   - Sta::analyze (one sweep in gate order) reproduces a Kahn-ordered
+//     sweep's arrivals and critical path exactly, and
+//   - PackedSimulator reproduces a Kahn-ordered packed sweep,
+// and that the timing optimiser, which inserts buffers mid-netlist, keeps
+// the order and makes exactly the moves it made before buffers were
+// inserted in place. The designs are the 14 of the `paper_flows` benchmark
+// workload (D1–D5, the six DSP kernels, examples/designs/*.dp) plus 200
+// random DFGs, each under all three flows.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "dpmerge/designs/kernels.h"
+#include "dpmerge/designs/testcases.h"
+#include "dpmerge/dfg/random_graph.h"
+#include "dpmerge/frontend/parser.h"
+#include "dpmerge/netlist/packed_sim.h"
+#include "dpmerge/netlist/sta.h"
+#include "dpmerge/opt/timing_opt.h"
+#include "dpmerge/support/rng.h"
+#include "dpmerge/synth/flow.h"
+
+namespace dpmerge {
+namespace {
+
+using netlist::CellLibrary;
+using netlist::Gate;
+using netlist::NetId;
+using netlist::Netlist;
+using netlist::PackedSimulator;
+using netlist::Sta;
+using synth::Flow;
+
+constexpr Flow kFlows[] = {Flow::NoMerge, Flow::OldMerge, Flow::NewMerge};
+
+/// Kahn's algorithm over the gate graph (LIFO ready list): the order
+/// `Netlist::topo_gates()` returned before gate order became topological.
+/// Returns fewer than gate_count() gates on a combinational cycle.
+std::vector<int> kahn_order(const Netlist& n) {
+  const std::vector<Gate>& gates = n.gates();
+  std::vector<int> pending(gates.size(), 0);
+  std::vector<std::vector<int>> readers(
+      static_cast<std::size_t>(n.net_count()));
+  std::vector<int> order;
+  std::vector<int> ready;
+  for (std::size_t gi = 0; gi < gates.size(); ++gi) {
+    int cnt = 0;
+    for (NetId in : gates[gi].inputs) {
+      if (n.driver(in)) {
+        ++cnt;
+        readers[static_cast<std::size_t>(in.value)].push_back(
+            static_cast<int>(gi));
+      }
+    }
+    pending[gi] = cnt;
+    if (cnt == 0) ready.push_back(static_cast<int>(gi));
+  }
+  while (!ready.empty()) {
+    const int gi = ready.back();
+    ready.pop_back();
+    order.push_back(gi);
+    const NetId out = gates[static_cast<std::size_t>(gi)].output;
+    for (int r : readers[static_cast<std::size_t>(out.value)]) {
+      if (--pending[static_cast<std::size_t>(r)] == 0) ready.push_back(r);
+    }
+  }
+  return order;
+}
+
+/// Sta::analyze's arrival sweep, run over `order` instead of gate order.
+netlist::TimingReport sta_in_order(const Netlist& n,
+                                   const std::vector<int>& order) {
+  const CellLibrary& lib = CellLibrary::tsmc025();
+  const std::vector<double> load = Sta(lib).net_loads(n);
+  netlist::TimingReport rep;
+  rep.arrival.assign(static_cast<std::size_t>(n.net_count()), 0.0);
+  std::vector<NetId> from(static_cast<std::size_t>(n.net_count()));
+  for (int gi : order) {
+    const Gate& g = n.gates()[static_cast<std::size_t>(gi)];
+    const auto& v = lib.variant(g.type, g.drive);
+    const double d =
+        v.intrinsic_ns +
+        v.drive_res_ns * load[static_cast<std::size_t>(g.output.value)];
+    double worst = 0.0;
+    NetId worst_in{};
+    for (NetId in : g.inputs) {
+      const double a = rep.arrival[static_cast<std::size_t>(in.value)];
+      if (a >= worst) {
+        worst = a;
+        worst_in = in;
+      }
+    }
+    rep.arrival[static_cast<std::size_t>(g.output.value)] = worst + d;
+    from[static_cast<std::size_t>(g.output.value)] = worst_in;
+  }
+  NetId worst_net{};
+  for (const netlist::Bus& b : n.outputs()) {
+    for (NetId bit : b.signal.bits) {
+      const double a = rep.arrival[static_cast<std::size_t>(bit.value)];
+      if (a > rep.longest_path_ns) {
+        rep.longest_path_ns = a;
+        worst_net = bit;
+      }
+    }
+  }
+  for (NetId cur = worst_net; cur.valid();
+       cur = from[static_cast<std::size_t>(cur.value)]) {
+    rep.critical_path.push_back(cur);
+    if (!n.driver(cur)) break;
+  }
+  std::reverse(rep.critical_path.begin(), rep.critical_path.end());
+  return rep;
+}
+
+/// PackedSimulator::run's sweep, run over `order` instead of gate order.
+std::vector<PackedSimulator::PackedBus> packed_in_order(
+    const Netlist& n, const std::vector<int>& order,
+    const std::vector<PackedSimulator::PackedBus>& inputs) {
+  std::vector<std::uint64_t> value(static_cast<std::size_t>(n.net_count()),
+                                   0);
+  value[1] = ~std::uint64_t{0};
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const auto& bits = n.inputs()[i].signal.bits;
+    for (std::size_t b = 0; b < bits.size(); ++b) {
+      value[static_cast<std::size_t>(bits[b].value)] = inputs[i][b];
+    }
+  }
+  for (int gi : order) {
+    const Gate& g = n.gates()[static_cast<std::size_t>(gi)];
+    std::uint64_t ins[netlist::Pins::kMax] = {};
+    for (std::size_t k = 0; k < g.inputs.size(); ++k) {
+      ins[k] = value[static_cast<std::size_t>(g.inputs[k].value)];
+    }
+    value[static_cast<std::size_t>(g.output.value)] =
+        netlist::eval_cell_packed(g.type, ins);
+  }
+  std::vector<PackedSimulator::PackedBus> out;
+  for (const netlist::Bus& b : n.outputs()) {
+    PackedSimulator::PackedBus words;
+    for (NetId bit : b.signal.bits) {
+      words.push_back(value[static_cast<std::size_t>(bit.value)]);
+    }
+    out.push_back(std::move(words));
+  }
+  return out;
+}
+
+/// Number of (gate, pin) reads of a net driven by the same or a later gate.
+int forward_references(const Netlist& n) {
+  int count = 0;
+  for (const Gate& g : n.gates()) {
+    for (NetId in : g.inputs) {
+      const Gate* d = n.driver(in);
+      if (d && d->id.value >= g.id.value) ++count;
+    }
+  }
+  return count;
+}
+
+void expect_order_matches_kahn(const Netlist& n, const std::string& what,
+                               Rng& rng) {
+  SCOPED_TRACE(what);
+  for (std::size_t gi = 0; gi < n.gates().size(); ++gi) {
+    ASSERT_EQ(n.gates()[gi].id.value, static_cast<int>(gi));
+  }
+  EXPECT_EQ(forward_references(n), 0);
+  EXPECT_TRUE(n.validate().empty());
+  const std::vector<int> order = kahn_order(n);
+  ASSERT_EQ(order.size(), n.gates().size());
+
+  const auto full = Sta(CellLibrary::tsmc025()).analyze(n);
+  const auto ref = sta_in_order(n, order);
+  EXPECT_EQ(full.arrival, ref.arrival);
+  EXPECT_EQ(full.longest_path_ns, ref.longest_path_ns);
+  EXPECT_EQ(full.critical_path, ref.critical_path);
+
+  std::vector<PackedSimulator::PackedBus> stimuli;
+  for (const netlist::Bus& b : n.inputs()) {
+    PackedSimulator::PackedBus words;
+    for (int i = 0; i < b.signal.width(); ++i) {
+      words.push_back(rng.next_u64());
+    }
+    stimuli.push_back(std::move(words));
+  }
+  EXPECT_EQ(PackedSimulator(n).run(stimuli),
+            packed_in_order(n, order, stimuli));
+}
+
+void check_all_flows(const dfg::Graph& g, const std::string& name, Rng& rng) {
+  for (Flow f : kFlows) {
+    const auto res = synth::run_flow(g, f);
+    expect_order_matches_kahn(
+        res.net, name + "/" + std::string(synth::to_string(f)), rng);
+  }
+}
+
+struct Design {
+  std::string name;
+  dfg::Graph graph;
+};
+
+/// D1–D5, the six DSP kernels and the example .dp designs.
+std::vector<Design> paper_designs() {
+  std::vector<Design> out;
+  for (auto& tc : designs::all_testcases()) {
+    out.push_back({tc.name, std::move(tc.graph)});
+  }
+  for (auto& k : designs::dsp_kernels()) {
+    out.push_back({k.name, std::move(k.graph)});
+  }
+  std::vector<std::filesystem::path> files;
+  for (const auto& e :
+       std::filesystem::directory_iterator(DPMERGE_EXAMPLE_DESIGNS)) {
+    if (e.path().extension() == ".dp") files.push_back(e.path());
+  }
+  std::sort(files.begin(), files.end());
+  for (const auto& path : files) {
+    std::ifstream in(path);
+    std::stringstream src;
+    src << in.rdbuf();
+    out.push_back(
+        {path.filename().string(), frontend::compile(src.str()).graph});
+  }
+  return out;
+}
+
+TEST(NetlistOrder, PaperDesignsMatchKahnOracle) {
+  const auto designs = paper_designs();
+  ASSERT_EQ(designs.size(), 14u);
+  Rng rng(1);
+  for (const auto& d : designs) check_all_flows(d.graph, d.name, rng);
+}
+
+TEST(NetlistOrder, RandomGraphsMatchKahnOracle) {
+  Rng stim(4);
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(seed);
+    const dfg::Graph g = dfg::random_graph(rng);
+    check_all_flows(g, "seed " + std::to_string(seed), stim);
+  }
+}
+
+/// Timing optimisation of every paper design under every flow at Table 2's
+/// settings (target 0.93 x the design's new-merge delay, 5000 moves), with
+/// the cross-check on: after every move, including every insert_buffer, the
+/// optimiser validates the gate order and compares incremental timing with
+/// a full analysis (throwing on any failure). The pinned results are those
+/// of the optimiser before buffers were inserted in place, when each split
+/// appended its buffer and re-sorted the netlist.
+TEST(NetlistOrder, OptimiserKeepsOrderAndPinnedResults) {
+  struct Pinned {
+    int moves;
+    double final_ns, final_area;
+  };
+  // Per design, in paper_designs() order: no-, old- and new-merge.
+  const Pinned pinned[][3] = {
+      {{7, 5.6052000000000008, 35.54999999999999},
+       {7, 4.1776000000000009, 23.689999999999991},
+       {1, 2.8752, 16.052}},  // D1
+      {{15, 9.2640600000000006, 112.30800000000006},
+       {16, 6.51919, 69.719999999999999},
+       {12, 3.5664000000000007, 44.776000000000003}},  // D2
+      {{182, 4.9638500000000025, 113.6851999999999},
+       {77, 4.8348479999999991, 104.97359999999999},
+       {7, 4.7850000000000001, 67.435999999999993}},  // D3
+      {{349, 13.210304000000002, 203.40759999999938},
+       {256, 6.1668819999999984, 65.167600000000164},
+       {19, 2.8210359999999999, 21.029999999999994}},  // D4
+      {{181, 11.155592, 151.34959999999967},
+       {255, 5.4945899999999979, 79.608000000000118},
+       {118, 2.7042500000000005, 21.531999999999975}},  // D5
+      {{14, 6.1086000000000009, 41.714000000000013},
+       {229, 5.3621099999999995, 42.591999999999992},
+       {4, 2.8704000000000001, 22.09}},  // fir8
+      {{147, 4.898098000000001, 48.42440000000007},
+       {147, 4.898098000000001, 48.42440000000007},
+       {4, 3.4470000000000005, 39.640000000000001}},  // biquad
+      {{642, 9.7606879999999911, 151.37719999999911},
+       {642, 9.7606879999999911, 151.37719999999911},
+       {124, 4.0655999999999999, 143.55679999999987}},  // complex_mul
+      {{173, 3.7462960000000005, 60.22440000000006},
+       {173, 3.7462960000000005, 59.904400000000059},
+       {35, 2.6742020000000011, 40.821999999999996}},  // dct4
+      {{67, 2.8141940000000005, 35.066800000000001},
+       {67, 2.8141940000000005, 35.066800000000001},
+       {52, 2.3846870000000009, 29.342399999999987}},  // matvec3
+      {{38, 2.2933560000000002, 8.0340000000000025},
+       {31, 1.3184400000000001, 4.96},
+       {1, 1.4001999999999999, 3.972}},  // checksum8
+      {{1, 3.4270000000000009, 16.077999999999999},
+       {89, 2.7963640000000001, 15.760400000000002},
+       {4, 2.1791999999999998, 9.6259999999999994}},  // fir4.dp
+      {{7, 1.0125999999999997, 5.2120000000000006},
+       {7, 1.0125999999999997, 5.2120000000000006},
+       {7, 1.0125999999999997, 5.2120000000000006}},  // saturating_diff.dp
+      {{1, 4.1276600000000006, 30.468000000000004},
+       {1, 4.1276600000000006, 30.468000000000004},
+       {1, 4.0956600000000005, 18.408000000000001}},  // truncated_mac.dp
+  };
+  const auto designs = paper_designs();
+  ASSERT_EQ(designs.size(), std::size(pinned));
+  const auto& lib = CellLibrary::tsmc025();
+  const Sta sta(lib);
+  const opt::TimingOptimizer optimizer(lib);
+  int buffers_inserted = 0;
+  for (std::size_t di = 0; di < designs.size(); ++di) {
+    const Design& d = designs[di];
+    opt::TimingOptOptions o;
+    o.target_ns =
+        0.93 * sta.analyze(synth::run_flow(d.graph, Flow::NewMerge).net)
+                   .longest_path_ns;
+    o.max_moves = 5000;
+    o.cross_check_sta = true;
+    for (std::size_t fi = 0; fi < std::size(kFlows); ++fi) {
+      SCOPED_TRACE(d.name + "/" + std::string(synth::to_string(kFlows[fi])));
+      auto res = synth::run_flow(d.graph, kFlows[fi]);
+      const int gates_before = res.net.gate_count();
+      const auto r = optimizer.optimize(res.net, o);
+      buffers_inserted += res.net.gate_count() - gates_before;
+      EXPECT_EQ(r.moves, pinned[di][fi].moves);
+      EXPECT_DOUBLE_EQ(r.final_ns, pinned[di][fi].final_ns);
+      EXPECT_DOUBLE_EQ(r.final_area, pinned[di][fi].final_area);
+      EXPECT_EQ(forward_references(res.net), 0);
+    }
+  }
+  EXPECT_GT(buffers_inserted, 0);  // insert_buffer really ran
+}
+
+}  // namespace
+}  // namespace dpmerge

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "dpmerge/netlist/sim.h"
 #include "dpmerge/support/rng.h"
 
@@ -108,7 +111,7 @@ TEST(Netlist, ValidateCatchesFloatingInput) {
   EXPECT_TRUE(ok.validate().empty());
 }
 
-TEST(Netlist, TopoGatesRespectsDependencies) {
+TEST(Netlist, GateOrderRespectsDependencies) {
   Netlist n;
   const NetId a = n.new_net();
   Signal in{{a}};
@@ -118,21 +121,135 @@ TEST(Netlist, TopoGatesRespectsDependencies) {
   const NetId d = n.and2(b, c);
   Signal out{{d}};
   n.add_output("r", out);
-  const auto order = n.topo_gates();
-  ASSERT_EQ(order.size(), 3u);
-  std::vector<int> pos(static_cast<std::size_t>(n.gate_count()));
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    pos[static_cast<std::size_t>(order[i].value)] = static_cast<int>(i);
-  }
+  ASSERT_EQ(n.gate_count(), 3);
   for (const Gate& g : n.gates()) {
     for (NetId gin : g.inputs) {
       const Gate* drv = n.driver(gin);
       if (drv) {
-        EXPECT_LT(pos[static_cast<std::size_t>(drv->id.value)],
-                  pos[static_cast<std::size_t>(g.id.value)]);
+        EXPECT_LT(drv->id.value, g.id.value);
       }
     }
   }
+  EXPECT_TRUE(n.validate().empty());
+}
+
+/// Runs `build` and expects std::invalid_argument whose message contains
+/// `needle` (the located part: gate, pin or net).
+template <typename F>
+void expect_rejected(F build, const std::string& needle) {
+  try {
+    build();
+    ADD_FAILURE() << "no exception; expected one mentioning '" << needle
+                  << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+// Construction checks are real checks, not asserts: they fire in the
+// default RelWithDebInfo build and in Release.
+TEST(Netlist, AddGateRejectsWrongArity) {
+  Netlist n;
+  const NetId a = n.new_net();
+  const NetId b = n.new_net();
+  (void)n.inv(a);
+  expect_rejected([&] { n.add_gate(CellType::INV, {a, b}); },
+                  "gate 1 (INV): expects 1 input pin(s), got 2");
+  expect_rejected([&] { n.add_gate(CellType::MUX2, {a, b}); },
+                  "gate 1 (MUX2): expects 3 input pin(s), got 2");
+  expect_rejected([&] { n.add_gate(CellType::MUX2, {a, b, a, b}); },
+                  "at most 3 input pins");
+  EXPECT_EQ(n.gate_count(), 1);  // nothing was appended
+}
+
+TEST(Netlist, AddGateRejectsNetAlreadyDriven) {
+  Netlist n;
+  const NetId a = n.new_net();
+  const NetId x = n.inv(a);
+  expect_rejected([&] { n.add_gate_driving(CellType::BUF, {a}, x); },
+                  "gate 1 (BUF): net " + std::to_string(x.value) +
+                      " is already driven by gate 0");
+  expect_rejected([&] { n.add_gate_driving(CellType::BUF, {a}, n.const1()); },
+                  "drives constant net 1");
+}
+
+TEST(Netlist, AddGateRejectsInputNotDrivenEarlier) {
+  Netlist n;
+  const NetId a = n.new_net();
+  const NetId later = n.new_net();
+  (void)n.add_gate(CellType::AND2, {a, later});  // `later` read undriven
+  expect_rejected([&] { n.add_gate_driving(CellType::INV, {a}, later); },
+                  "gate 1 (INV): net " + std::to_string(later.value) +
+                      " is already read by earlier gate 0");
+  expect_rejected([&] { n.add_gate(CellType::INV, {NetId{99}}); },
+                  "gate 1 (INV) pin 0: net 99 does not exist");
+  const NetId self = n.new_net();
+  expect_rejected([&] { n.add_gate_driving(CellType::INV, {self}, self); },
+                  "pin 0 reads its own output net");
+  // Driving an undriven net nothing has read yet is fine.
+  const NetId fresh = n.new_net();
+  (void)n.add_gate_driving(CellType::INV, {a}, fresh);
+  EXPECT_EQ(n.driver(fresh)->id.value, 1);
+}
+
+TEST(Netlist, ValidateReportsFirstForwardReference) {
+  Netlist n;
+  const NetId a = n.new_net();
+  n.add_input("a", Signal{{a}});
+  const NetId b = n.inv(a);
+  const NetId c = n.inv(b);
+  const NetId d = n.inv(c);
+  n.add_output("r", Signal{{d}});
+  EXPECT_TRUE(n.validate().empty());
+  // Rewire gate 0 to read gate 2's output: a cycle, which shows as one
+  // forward reference.
+  n.mutable_gates()[0].inputs[0] = d;
+  const auto errs = n.validate();
+  ASSERT_EQ(errs.size(), 1u);
+  EXPECT_EQ(errs[0], "gate 0 reads net " + std::to_string(d.value) +
+                         " driven by later gate 2");
+}
+
+TEST(Netlist, InsertBufferKeepsOrderAndShiftsIds) {
+  Netlist n;
+  const NetId a = n.new_net();
+  n.add_input("a", Signal{{a}});
+  const NetId x = n.inv(a);         // gate 0
+  const NetId y = n.inv(x);         // gate 1, keeps reading x
+  const NetId z = n.and2(x, y);     // gate 2, rewired
+  const NetId w = n.xor2(x, z);     // gate 3, rewired
+  n.add_output("r", Signal{{w}});
+  n.add_output("x", Signal{{x}});
+  n.set_provenance_owner(7);
+  EXPECT_EQ(n.insert_buffer(x, GateId{1}), 2);
+  ASSERT_EQ(n.gate_count(), 5);
+  const Gate& buf = n.gates()[1];  // right after x's driver
+  EXPECT_EQ(buf.type, CellType::BUF);
+  EXPECT_EQ(buf.inputs[0], x);
+  for (int i = 0; i < n.gate_count(); ++i) {
+    const Gate& g = n.gates()[static_cast<std::size_t>(i)];
+    EXPECT_EQ(g.id.value, i);
+    EXPECT_EQ(n.driver(g.output), &g);
+  }
+  EXPECT_EQ(n.gates()[2].inputs[0], x);             // the kept reader
+  EXPECT_EQ(n.gates()[3].inputs[0], buf.output);    // and2(x, y)
+  EXPECT_EQ(n.gates()[4].inputs[0], buf.output);    // xor2(x, z)
+  EXPECT_EQ(n.outputs()[1].signal.bit(0), x);       // buses stay on x
+  EXPECT_TRUE(n.validate().empty());
+#ifndef DPMERGE_OBS_DISABLED
+  EXPECT_EQ(n.provenance_owner(GateId{1}), 7);
+  EXPECT_EQ(n.provenance_owner(GateId{4}), -1);
+#endif
+
+  // A primary input is buffered at index 0; every reader moves.
+  EXPECT_EQ(n.insert_buffer(a, GateId{}), 1);
+  EXPECT_EQ(n.gates()[0].type, CellType::BUF);
+  EXPECT_EQ(n.gates()[0].inputs[0], a);
+  EXPECT_EQ(n.gates()[1].inputs[0], n.gates()[0].output);
+  EXPECT_TRUE(n.validate().empty());
+  expect_rejected([&] { n.insert_buffer(n.const0(), GateId{}); },
+                  "net 0 is not a bufferable net");
 }
 
 TEST(Simulator, FullAdderTruthTable) {
