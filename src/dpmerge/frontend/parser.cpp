@@ -1,8 +1,11 @@
 #include "dpmerge/frontend/parser.h"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <map>
 #include <stdexcept>
+#include <system_error>
 #include <vector>
 
 #include "dpmerge/check/check.h"
@@ -79,7 +82,12 @@ class Lexer {
         advance();
       }
       t.kind = Tok::Int;
-      t.value = std::stoll(t.text);
+      const char* end = t.text.data() + t.text.size();
+      const auto [ptr, ec] = std::from_chars(t.text.data(), end, t.value);
+      if (ec != std::errc{} || ptr != end) {
+        throw ParseError(t.line, t.col, t.text,
+                         "integer literal '" + t.text + "' out of range");
+      }
       return t;
     }
     auto two = [&](char a, char b) {
@@ -222,17 +230,27 @@ class Parser {
   /// Parses ": s8" / ": u12" type annotations.
   std::pair<int, Sign> parse_type() {
     expect(Tok::Colon, "':' and a type like s8 or u12");
+    const Token type = cur_;
     const std::string t = expect_ident("type like s8 or u12");
+    // Errors below point at the type token itself.
+    auto bad = [&](const std::string& msg) {
+      throw ParseError(type.line, type.col, t, msg);
+    };
     if (t.size() < 2 || (t[0] != 's' && t[0] != 'u')) {
-      fail("bad type '" + t + "' (use s<width> or u<width>)");
+      bad("bad type '" + t + "' (use s<width> or u<width>)");
     }
     for (std::size_t i = 1; i < t.size(); ++i) {
       if (!std::isdigit(static_cast<unsigned char>(t[i]))) {
-        fail("bad type '" + t + "'");
+        bad("bad type '" + t + "'");
       }
     }
-    const int w = std::stoi(t.substr(1));
-    if (w <= 0) fail("width must be positive in '" + t + "'");
+    int w = 0;
+    const char* end = t.data() + t.size();
+    const auto [ptr, ec] = std::from_chars(t.data() + 1, end, w);
+    if (ec != std::errc{} || ptr != end) {
+      bad("width out of range in '" + t + "'");
+    }
+    if (w <= 0) bad("width must be positive in '" + t + "'");
     return {w, t[0] == 's' ? Sign::Signed : Sign::Unsigned};
   }
 
@@ -338,6 +356,9 @@ class Parser {
     while (cur_.kind == Tok::Shl) {
       shift();
       if (cur_.kind != Tok::Int) fail("shift amount must be a literal");
+      if (cur_.value > std::numeric_limits<int>::max() - lhs.width) {
+        fail("shift amount out of range");
+      }
       const int s = static_cast<int>(cur_.value);
       shift();
       const int w = lhs.width + s;

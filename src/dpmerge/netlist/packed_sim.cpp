@@ -50,6 +50,18 @@ std::vector<PackedSimulator::PackedBus> PackedSimulator::run(
   return out;
 }
 
+void PackedSimulator::record_batch(int lanes) {
+  obs::stat_add("packed_sim.batches");
+  obs::stat_add("packed_sim.lanes_used", lanes);
+  if constexpr (obs::compiled_in()) {
+    // Lane-utilization histogram: how full the 64-wide batches actually are.
+    // Registry lookup mutexes; cache the reference once per process.
+    static obs::Histogram& lanes_hist =
+        obs::Registry::instance().histogram("packed_sim.lanes_per_batch");
+    lanes_hist.observe(lanes);
+  }
+}
+
 std::vector<std::vector<BitVector>> PackedSimulator::run_batch(
     const std::vector<std::vector<BitVector>>& stimuli) const {
   const std::size_t lanes = stimuli.size();
@@ -57,15 +69,7 @@ std::vector<std::vector<BitVector>> PackedSimulator::run_batch(
   if (lanes > static_cast<std::size_t>(kLanes)) {
     throw std::invalid_argument("more than 64 lanes in one batch");
   }
-  obs::stat_add("packed_sim.batches");
-  obs::stat_add("packed_sim.lanes_used", static_cast<std::int64_t>(lanes));
-  if constexpr (obs::compiled_in()) {
-    // Lane-utilization histogram: how full the 64-wide batches actually are.
-    // Registry lookup mutexes; cache the reference once per process.
-    static obs::Histogram& lanes_hist =
-        obs::Registry::instance().histogram("packed_sim.lanes_per_batch");
-    lanes_hist.observe(static_cast<std::int64_t>(lanes));
-  }
+  record_batch(static_cast<int>(lanes));
 
   // Pack: word for bit b of bus i has stimuli[L][i].bit(b) in bit L.
   std::vector<PackedBus> packed(net_.inputs().size());

@@ -30,6 +30,12 @@ class PackedSimulator {
   /// fully independent; unused lanes simply compute garbage vectors.
   std::vector<PackedBus> run(const std::vector<PackedBus>& inputs) const;
 
+  /// Records one batch of `lanes` stimuli in the lane telemetry:
+  /// `packed_sim.batches`, `packed_sim.lanes_used` and the
+  /// `packed_sim.lanes_per_batch` histogram. `run_batch` calls it; callers
+  /// that pack their own lanes for `run` call it once per `run`.
+  static void record_batch(int lanes);
+
   /// Convenience wrapper over `run` for BitVector stimuli:
   /// `stimuli[L][i]` is the value of input bus i in lane L (at most
   /// `kLanes` lanes). Returns `results[L][j]` = value of output bus j in

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -9,11 +10,64 @@
 
 namespace dpmerge {
 
+/// Two's-complement arithmetic on little-endian spans of 64-bit words: the
+/// one arithmetic implementation in dpmerge. `BitVector`'s methods wrap
+/// these kernels, and the compiled DFG evaluator (`dfg::Evaluator`) runs
+/// them directly over its preallocated word arena, so neither allocates.
+///
+/// A `width`-bit value occupies `count(width)` words, bit 0 first. Inputs
+/// must keep the unused high bits of their top word zero, and every kernel
+/// leaves its result that way. Results are modulo 2^width. A destination
+/// may be the same span as an operand unless the kernel says otherwise;
+/// partially overlapping spans are not allowed.
+namespace words {
+
+constexpr int kBits = 64;
+
+/// Words needed to hold `width` bits.
+constexpr int count(int width) { return (width + kBits - 1) / kBits; }
+
+/// Bit `i` of the value.
+inline bool bit(const std::uint64_t* w, int i) {
+  return (w[i / kBits] >> (i % kBits)) & 1u;
+}
+
+/// Zeroes the unused high bits of the top word.
+inline void normalize(std::uint64_t* w, int width) {
+  if (width % kBits != 0) {
+    w[width / kBits] &= ~std::uint64_t{0} >> (kBits - width % kBits);
+  }
+}
+
+/// dst<dst_width> = src<src_width> truncated, or extended with zeros
+/// (`Sign::Unsigned`) or copies of its MSB (`Sign::Signed`). A signed
+/// extension of a zero-width value is all zeros.
+void resize(std::uint64_t* dst, int dst_width, const std::uint64_t* src,
+            int src_width, Sign t);
+
+void add(std::uint64_t* dst, const std::uint64_t* a, const std::uint64_t* b,
+         int width);
+void sub(std::uint64_t* dst, const std::uint64_t* a, const std::uint64_t* b,
+         int width);
+void neg(std::uint64_t* dst, const std::uint64_t* a, int width);
+/// `dst` must not be the span of `a` or `b`.
+void mul(std::uint64_t* dst, const std::uint64_t* a, const std::uint64_t* b,
+         int width);
+/// Left shift by `s >= 0` bits within the width.
+void shl(std::uint64_t* dst, const std::uint64_t* a, int width, int s);
+
+bool eq(const std::uint64_t* a, const std::uint64_t* b, int width);
+bool unsigned_lt(const std::uint64_t* a, const std::uint64_t* b, int width);
+bool signed_lt(const std::uint64_t* a, const std::uint64_t* b, int width);
+
+}  // namespace words
+
 /// Arbitrary-width bit vector with two's-complement arithmetic semantics.
 ///
-/// `BitVector` is the single source of arithmetic truth in dpmerge: the DFG
-/// interpreter, the gate-level netlist simulator cross-checks, and the
-/// information-content soundness property tests all evaluate through it.
+/// `BitVector` is the value type of dpmerge's arithmetic: the DFG
+/// interpreter's API, the gate-level netlist simulator cross-checks, and the
+/// information-content soundness property tests all evaluate through it. Its
+/// arithmetic methods are thin wrappers over the `words` kernels.
 ///
 /// A `BitVector` has a fixed `width()` in bits. All arithmetic operations are
 /// performed modulo 2^width (both operands must have equal width); signedness
@@ -40,8 +94,18 @@ class BitVector {
   /// Parses a binary string, MSB first, e.g. "0101" -> width 4, value 5.
   static BitVector from_string(std::string_view bits);
 
+  /// Copies a `width`-bit value from `words::count(width)` words, LSB
+  /// first; unused high bits of the top word are ignored.
+  static BitVector from_words(int width, const std::uint64_t* w);
+
   int width() const { return width_; }
   bool empty() const { return width_ == 0; }
+
+  /// The value's `words::count(width())` words, LSB first. Writers through
+  /// `mutable_words` must leave the unused high bits of the top word zero
+  /// (`words::normalize`).
+  std::span<const std::uint64_t> words() const { return words_; }
+  std::span<std::uint64_t> mutable_words() { return words_; }
 
   /// Value of bit `i` (bit 0 = least significant). Requires 0 <= i < width.
   bool bit(int i) const;
@@ -103,7 +167,6 @@ class BitVector {
   bool signed_lt(const BitVector& rhs) const;
 
  private:
-  void normalize();  // zero the unused bits of the top word
   int num_words() const { return static_cast<int>(words_.size()); }
 
   int width_ = 0;

@@ -26,15 +26,18 @@ class Rng {
 
   std::uint64_t next_u64() { return engine_(); }
 
-  /// Uniformly random `width`-bit vector.
+  /// Fills the `words::count(width)` words at `w` with a uniformly random
+  /// `width`-bit value: one engine draw per word, LSB word first, with the
+  /// unused high bits of the top word cleared.
+  void fill_bits(std::uint64_t* w, int width) {
+    for (int i = 0; i < words::count(width); ++i) w[i] = engine_();
+    words::normalize(w, width);
+  }
+
+  /// Uniformly random `width`-bit vector (same draws as `fill_bits`).
   BitVector bits(int width) {
     BitVector v(width);
-    for (int i = 0; i < width; i += 64) {
-      const std::uint64_t w = engine_();
-      for (int b = 0; b < 64 && i + b < width; ++b) {
-        v.set_bit(i + b, (w >> b) & 1u);
-      }
-    }
+    fill_bits(v.mutable_words().data(), width);
     return v;
   }
 

@@ -1,6 +1,9 @@
 #include "dpmerge/synth/verify.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -93,50 +96,98 @@ std::vector<std::vector<BitVector>> corner_stimuli(const Graph& g,
 bool verify_netlist(const Netlist& net, const Graph& g, int trials, Rng& rng,
                     std::string* why) {
   obs::Span span("verify.netlist");
-  dfg::Evaluator ev(g);
-  PackedSimulator sim(net);
+  const dfg::Evaluator ev(g);
+  const PackedSimulator sim(net);
   const Bindings bind = resolve(net, g);
+  constexpr int kLanes = PackedSimulator::kLanes;
 
-  // Checks one batch of <= 64 stimulus sets (each in g.inputs() order):
-  // one packed netlist sweep, one scalar DFG evaluation per lane.
-  auto check_batch =
-      [&](const std::vector<std::vector<BitVector>>& stims) -> bool {
+  // Lane L evaluates the DFG in its own arena; the netlist sees the lanes
+  // transposed into one word per input bit.
+  const std::size_t stride = ev.arena_words();
+  std::vector<std::uint64_t> arenas(stride * kLanes);
+  auto lane = [&](int L) {
+    return arenas.data() + stride * static_cast<std::size_t>(L);
+  };
+  std::vector<PackedSimulator::PackedBus> packed(net.inputs().size());
+  for (std::size_t i = 0; i < packed.size(); ++i) {
+    const dfg::Evaluator::Slot s = ev.input_slots()[bind.in_of_bus[i]];
+    if (net.inputs()[i].signal.width() != s.width) {
+      throw std::invalid_argument("stimulus width mismatch for '" +
+                                  net.inputs()[i].name + "'");
+    }
+    packed[i].resize(static_cast<std::size_t>(s.width));
+  }
+
+  // Checks lanes [0, lanes): one packed netlist sweep, one compiled DFG
+  // run per lane, outputs compared bit by bit in lane order.
+  auto check_batch = [&](int lanes) -> bool {
     obs::stat_add("verify.batches");
-    obs::stat_add("verify.lanes", static_cast<std::int64_t>(stims.size()));
-    std::vector<std::vector<BitVector>> bus_stims(stims.size());
-    for (std::size_t L = 0; L < stims.size(); ++L) {
-      bus_stims[L].reserve(bind.in_of_bus.size());
-      for (std::size_t pos : bind.in_of_bus) {
-        bus_stims[L].push_back(stims[L][pos]);
+    obs::stat_add("verify.lanes", lanes);
+    PackedSimulator::record_batch(lanes);
+    for (int L = 0; L < lanes; ++L) ev.run_words({lane(L), stride});
+    for (std::size_t i = 0; i < packed.size(); ++i) {
+      const int offset = ev.input_slots()[bind.in_of_bus[i]].offset;
+      for (std::size_t b = 0; b < packed[i].size(); ++b) {
+        std::uint64_t word = 0;
+        for (int L = 0; L < lanes; ++L) {
+          word |= static_cast<std::uint64_t>(
+                      words::bit(lane(L) + offset, static_cast<int>(b)))
+                  << L;
+        }
+        packed[i][b] = word;
       }
     }
-    const auto got = sim.run_batch(bus_stims);
-    for (std::size_t L = 0; L < stims.size(); ++L) {
-      const auto expect = ev.run_outputs(stims[L]);
+    const auto got = sim.run(packed);
+    for (int L = 0; L < lanes; ++L) {
       for (std::size_t j = 0; j < bind.g_outputs.size(); ++j) {
+        const dfg::Evaluator::Slot s = ev.output_slots()[j];
+        const std::uint64_t* expect = lane(L) + s.offset;
         const int bus = bind.bus_of_out[j];
-        const BitVector* v =
-            bus >= 0 ? &got[L][static_cast<std::size_t>(bus)] : nullptr;
-        if (!v || *v != expect[j]) {
-          fill_mismatch(g, bind, j, expect[j], v, why);
-          return false;
+        const PackedSimulator::PackedBus* bits =
+            bus >= 0 ? &got[static_cast<std::size_t>(bus)] : nullptr;
+        bool same = bits && static_cast<int>(bits->size()) == s.width;
+        for (int b = 0; same && b < s.width; ++b) {
+          same = (((*bits)[static_cast<std::size_t>(b)] >> L) & 1u) ==
+                 static_cast<std::uint64_t>(words::bit(expect, b));
         }
+        if (same) continue;
+        if (why) {
+          std::optional<BitVector> v;
+          if (bits) {
+            v.emplace(static_cast<int>(bits->size()));
+            for (std::size_t b = 0; b < bits->size(); ++b) {
+              v->set_bit(static_cast<int>(b), ((*bits)[b] >> L) & 1u);
+            }
+          }
+          fill_mismatch(g, bind, j, BitVector::from_words(s.width, expect),
+                        v ? &*v : nullptr, why);
+        }
+        return false;
       }
     }
     return true;
   };
 
-  auto stims = corner_stimuli(g, bind);
+  // The corner patterns every run starts with, all-zeros and all-ones,
+  // then `trials` random stimuli drawn straight into the lanes' input
+  // slots in `g.inputs()` order: the same stream `random_inputs` draws.
+  for (const dfg::Evaluator::Slot s : ev.input_slots()) {
+    const auto n = static_cast<std::size_t>(words::count(s.width));
+    std::fill_n(lane(0) + s.offset, n, 0);
+    std::fill_n(lane(1) + s.offset, n, ~std::uint64_t{0});
+    words::normalize(lane(1) + s.offset, s.width);
+  }
+  int lanes = 2;
   int done = 0;
   for (;;) {
-    while (done < trials &&
-           stims.size() < static_cast<std::size_t>(PackedSimulator::kLanes)) {
-      stims.push_back(ev.random_inputs(rng));
-      ++done;
+    for (; done < trials && lanes < kLanes; ++done, ++lanes) {
+      for (const dfg::Evaluator::Slot s : ev.input_slots()) {
+        rng.fill_bits(lane(lanes) + s.offset, s.width);
+      }
     }
-    if (stims.empty()) break;
-    if (!check_batch(stims)) return false;
-    stims.clear();
+    if (lanes == 0) break;
+    if (!check_batch(lanes)) return false;
+    lanes = 0;
     if (done == trials) break;
   }
   return true;

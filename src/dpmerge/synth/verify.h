@@ -14,9 +14,10 @@ namespace dpmerge::synth {
 /// pass in the test suite.
 ///
 /// Stimuli are simulated through the word-parallel `PackedSimulator` in
-/// batches of up to 64 lanes; name->bus bindings are resolved once up
-/// front. The random stimulus sequence (and hence the verdict) is
-/// identical to `verify_netlist_scalar`.
+/// batches of up to 64 lanes, and the DFG side runs the compiled
+/// `dfg::Evaluator` on one word arena per lane; name->bus bindings are
+/// resolved once up front. The random stimulus sequence, the verdict and
+/// the `why` text are identical to `verify_netlist_scalar`'s.
 bool verify_netlist(const netlist::Netlist& net, const dfg::Graph& g,
                     int trials, Rng& rng, std::string* why = nullptr);
 

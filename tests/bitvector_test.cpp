@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "dpmerge/support/rng.h"
 
@@ -219,6 +221,124 @@ TEST_P(BitVectorExtensionProperty, ExtensionInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, BitVectorExtensionProperty,
                          ::testing::Values(1, 4, 9, 17, 64, 70, 128));
+
+// Oracle sweep: the `words` kernels against native `unsigned __int128`
+// arithmetic for every width 1..128. The oracle shares no code with the
+// kernels, so it checks the one implementation BitVector and the compiled
+// evaluator both run.
+namespace oracle {
+
+using u128 = unsigned __int128;
+
+u128 mask(int w) { return w >= 128 ? ~u128{0} : (u128{1} << w) - 1; }
+
+/// The w-bit value v sign-extended to 128 bits.
+u128 sext(u128 v, int w) {
+  return w < 128 && ((v >> (w - 1)) & 1) ? v | ~mask(w) : v;
+}
+
+u128 load(const std::uint64_t* w) {
+  return (static_cast<u128>(w[1]) << 64) | w[0];
+}
+
+void store(u128 v, std::uint64_t* w) {
+  w[0] = static_cast<std::uint64_t>(v);
+  w[1] = static_cast<std::uint64_t>(v >> 64);
+}
+
+}  // namespace oracle
+
+TEST(WordKernels, MatchInt128OracleAtEveryWidth) {
+  using oracle::u128;
+  Rng rng(128);
+  for (int w = 1; w <= 128; ++w) {
+    const u128 m = oracle::mask(w);
+    std::vector<u128> values = {0, 1, m, m >> 1, (m >> 1) + 1};
+    for (int t = 0; t < 24; ++t) {
+      values.push_back(((static_cast<u128>(rng.next_u64()) << 64) |
+                        rng.next_u64()) &
+                       m);
+    }
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const u128 x = values[i];
+      const u128 y = values[(i * 7 + 3) % values.size()];
+      std::uint64_t a[2], b[2], r[2];
+      oracle::store(x, a);
+      oracle::store(y, b);
+      // The kernels own count(w) words; a 1-word result leaves r[1] alone.
+      const u128 owned = oracle::mask(words::count(w) * 64);
+      auto got = [&] { return oracle::load(r) & owned; };
+      const std::string ctx = "width " + std::to_string(w) + " x " +
+                              std::to_string(static_cast<std::uint64_t>(x));
+
+      r[0] = r[1] = ~std::uint64_t{0};
+      words::add(r, a, b, w);
+      EXPECT_TRUE(got() == ((x + y) & m)) << "add " << ctx;
+      words::sub(r, a, b, w);
+      EXPECT_TRUE(got() == ((x - y) & m)) << "sub " << ctx;
+      words::neg(r, a, w);
+      EXPECT_TRUE(got() == ((u128{0} - x) & m)) << "neg " << ctx;
+      words::mul(r, a, b, w);
+      EXPECT_TRUE(got() == ((x * y) & m)) << "mul " << ctx;
+      for (int s : {0, 1, w / 2, w - 1, w, 63, 64, 65, 127, 200}) {
+        words::shl(r, a, w, s);
+        const u128 want = s >= 128 ? 0 : (x << s) & m;
+        EXPECT_TRUE(got() == want) << "shl " << s << " " << ctx;
+      }
+      EXPECT_EQ(words::eq(a, b, w), x == y) << ctx;
+      EXPECT_EQ(words::unsigned_lt(a, b, w), x < y) << ctx;
+      EXPECT_EQ(words::signed_lt(a, b, w),
+                static_cast<__int128>(oracle::sext(x, w)) <
+                    static_cast<__int128>(oracle::sext(y, w)))
+          << ctx;
+      for (int dw : {1, w - 1, w, w + 1, 64, 65, 128}) {
+        if (dw < 1 || dw > 128) continue;
+        const u128 dm = oracle::mask(dw);
+        r[0] = r[1] = ~std::uint64_t{0};
+        words::resize(r, dw, a, w, Sign::Unsigned);
+        EXPECT_TRUE((oracle::load(r) & oracle::mask(words::count(dw) * 64)) ==
+                    (x & dm))
+            << "zext to " << dw << " " << ctx;
+        words::resize(r, dw, a, w, Sign::Signed);
+        EXPECT_TRUE((oracle::load(r) & oracle::mask(words::count(dw) * 64)) ==
+                    (oracle::sext(x, w) & dm))
+            << "sext to " << dw << " " << ctx;
+      }
+
+      // In place: the destination may be an operand's own span.
+      std::uint64_t c[2] = {a[0], a[1]};
+      words::add(c, c, b, w);
+      EXPECT_TRUE((oracle::load(c) & owned) == ((x + y) & m))
+          << "add in place " << ctx;
+      c[0] = a[0];
+      c[1] = a[1];
+      words::shl(c, c, w, w / 3);
+      EXPECT_TRUE((oracle::load(c) & owned) == ((x << (w / 3)) & m))
+          << "shl in place " << ctx;
+    }
+  }
+}
+
+TEST(Rng, BitsDrawWholeWordsFromTheEngine) {
+  for (int w : {0, 1, 63, 64, 65, 130}) {
+    Rng a(42), b(42);
+    const BitVector v = a.bits(w);
+    ASSERT_EQ(v.width(), w);
+    for (int i = 0; i < words::count(w); ++i) {
+      const std::uint64_t draw = b.next_u64();
+      for (int k = 0; k < 64 && i * 64 + k < w; ++k) {
+        EXPECT_EQ(v.bit(i * 64 + k), ((draw >> k) & 1u) != 0)
+            << "width " << w << " bit " << i * 64 + k;
+      }
+    }
+    // The streams stay in step: the next draws agree.
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "width " << w;
+    // Unused high bits of the top word stay zero.
+    if (w % 64 != 0) {
+      EXPECT_EQ(v.words().back() >> (w % 64), 0u) << "width " << w;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace dpmerge

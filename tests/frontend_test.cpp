@@ -139,6 +139,33 @@ TEST(Frontend, ErrorsHaveLocations) {
   expect_error("bogus a : s8\noutput y : s8 = a\n", "unknown statement");
 }
 
+TEST(Frontend, OutOfRangeNumbersAreLocatedParseErrors) {
+  auto expect_located = [](const char* src, int line, int col,
+                           const char* token, const char* frag) {
+    try {
+      compile(src);
+      FAIL() << "expected error: " << frag;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), line) << e.what();
+      EXPECT_EQ(e.column(), col) << e.what();
+      EXPECT_EQ(e.token(), token) << e.what();
+      EXPECT_NE(std::string(e.what()).find(frag), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_located("input a : u8\noutput y : u90 = a + 123456789012345678901234567\n",
+                 2, 22, "123456789012345678901234567",
+                 "integer literal '123456789012345678901234567' out of range");
+  expect_located("input a : u99999999999\noutput y : u8 = a\n", 1, 11,
+                 "u99999999999",
+                 "width out of range in 'u99999999999'");
+  expect_located("input a : u8\noutput y : u8 = a << 99999999999\n", 2,
+                 22, "99999999999", "shift amount out of range");
+  // The largest literal that fits still compiles.
+  EXPECT_NO_THROW(
+      compile("input a : u8\noutput y : u70 = a + 9223372036854775807\n"));
+}
+
 TEST(Frontend, CompiledDesignSynthesizesCorrectly) {
   const auto res = compile(R"(
 design mac4

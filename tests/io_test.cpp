@@ -87,6 +87,33 @@ TEST(Io, ErrorsCarryLineNumbers) {
   expect_throw("", "empty input");
 }
 
+TEST(Io, BadNumbersReportLineAndToken) {
+  auto expect_throw = [](const std::string& text, const char* what) {
+    try {
+      parse_graph(text);
+      FAIL() << "expected parse failure: " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), what);
+    }
+  };
+  expect_throw("dfg v1\ninput a 99999999999\n",
+               "line 2: integer '99999999999' out of range");
+  expect_throw("dfg v1\ninput a eight\n",
+               "line 2: expected an integer, got 'eight'");
+  expect_throw("dfg v1\n\noutput y 8x\n",
+               "line 3: expected an integer, got '8x'");
+  expect_throw("dfg v1\nconst k 8 123456789012345678901234567\n",
+               "line 2: integer '123456789012345678901234567' out of range");
+  expect_throw("dfg v1\nconst k 8 0b10x1\n",
+               "line 2: bad bit string '0b10x1'");
+  expect_throw("dfg v1\ninput a 8\nnode s shl 8 -\n",
+               "line 3: expected an integer, got '-'");
+  expect_throw("dfg v1\ninput a 8\nnode t neg 8\nedge a t 0x 8 signed\n",
+               "line 4: expected an integer, got '0x'");
+  expect_throw("dfg v1\ninput a 8\nnode t neg 8\nedge a t 0 1e3 signed\n",
+               "line 4: expected an integer, got '1e3'");
+}
+
 TEST(Io, RoundTripPreservesFunction) {
   for (const auto& tc : designs::all_testcases()) {
     const std::string text = to_text(tc.graph);
