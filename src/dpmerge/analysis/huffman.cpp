@@ -4,7 +4,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
-#include <queue>
+#include <map>
+#include <utility>
 
 namespace dpmerge::analysis {
 
@@ -20,28 +21,50 @@ std::vector<InfoContent> expand_addends(const std::vector<Addend>& addends) {
 }
 
 InfoContent huffman_rebalanced_bound(const std::vector<Addend>& addends) {
-  auto flat = expand_addends(addends);
-  if (flat.empty()) return {0, Sign::Unsigned};
-
-  // Min-heap ordered by content width (Step 1 of the algorithm). Ties are
-  // broken toward unsigned so that same-sign combinations (which keep the
-  // paper's tight max+1 rule) are preferred.
-  auto cmp = [](const InfoContent& a, const InfoContent& b) {
-    if (a.width != b.width) return a.width > b.width;
-    return a.sign == Sign::Signed && b.sign == Sign::Unsigned;
+  // The multiset of per-copy contents, run-length encoded: one count per
+  // distinct <i, t>, keyed in the order Step 1 takes values smallest first
+  // (width ascending; unsigned before signed, so that same-sign
+  // combinations, which keep the paper's tight max+1 rule, are preferred).
+  // Copies of one value are interchangeable, so combining counts yields the
+  // same bound as a heap over every expanded copy.
+  using Key = std::pair<int, bool>;  // (width, signed)
+  auto key = [](InfoContent ic) {
+    return Key{ic.width, ic.sign == Sign::Signed};
   };
-  std::priority_queue<InfoContent, std::vector<InfoContent>, decltype(cmp)>
-      heap(cmp, std::move(flat));
+  auto value = [](Key k) {
+    return InfoContent{k.first, k.second ? Sign::Signed : Sign::Unsigned};
+  };
+  std::map<Key, std::int64_t> count;
+  for (const Addend& a : addends) {
+    if (a.coefficient == 0) continue;
+    count[key(a.coefficient < 0 ? ic_neg(a.info) : a.info)] +=
+        std::llabs(a.coefficient);
+  }
+  if (count.empty()) return {0, Sign::Unsigned};
 
   // Step 2: repeatedly combine the two smallest values.
-  while (heap.size() > 1) {
-    const InfoContent m1 = heap.top();
-    heap.pop();
-    const InfoContent m2 = heap.top();
-    heap.pop();
-    heap.push(ic_add(m1, m2));
+  for (;;) {
+    const auto smallest = count.begin();
+    const InfoContent x = value(smallest->first);
+    const std::int64_t n = smallest->second;
+    if (n >= 2) {
+      // The two smallest are both x, and ic_add(x, x) never orders before
+      // x, so all floor(n/2) pairs combine before anything else does.
+      if (n % 2 == 0) {
+        count.erase(smallest);
+      } else {
+        smallest->second = 1;
+      }
+      count[key(ic_add(x, x))] += n / 2;
+      continue;
+    }
+    count.erase(smallest);
+    if (count.empty()) return x;
+    const auto next = count.begin();
+    const InfoContent y = value(next->first);
+    if (--next->second == 0) count.erase(next);
+    count[key(ic_add(x, y))] += 1;
   }
-  return heap.top();
 }
 
 InfoContent sequential_bound(const std::vector<Addend>& addends) {

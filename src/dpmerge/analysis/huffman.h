@@ -24,7 +24,9 @@ struct Addend {
 /// max{i1,i2}+1; this implementation carries the full <i, t> tuples and
 /// combines them with the sound `ic_add`, which degenerates to the paper's
 /// rule when signs agree. Negative coefficients insert `ic_neg` of the base
-/// signal's content.
+/// signal's content. The copies of a term are never materialised: the
+/// combination runs on a count per distinct <i, t> value, so the cost grows
+/// with the number of distinct values, not with the sum of |coefficient|.
 InfoContent huffman_rebalanced_bound(const std::vector<Addend>& addends);
 
 /// Reference implementation for tests: the bound obtained by folding the
@@ -38,7 +40,8 @@ InfoContent sequential_bound(const std::vector<Addend>& addends);
 InfoContent exhaustive_best_bound(const std::vector<Addend>& addends);
 
 /// Expands coefficients into the flat multiset of per-copy contents the
-/// algorithms above operate on.
+/// reference algorithms above operate on (one entry per copy, so only for
+/// small coefficients).
 std::vector<InfoContent> expand_addends(const std::vector<Addend>& addends);
 
 }  // namespace dpmerge::analysis

@@ -256,6 +256,9 @@ ClusterResult cluster_maximal(const Graph& g, const ClusterOptions& opt) {
     if (dfg::is_arith_operator(n.kind)) ++arith_nodes;
   }
 
+  // Required precision depends only on the graph, which the refinement
+  // loop never changes: one pass serves every iteration.
+  res.rp = analysis::compute_required_precision(g, opt.threads);
   const int rounds = opt.iterate_rebalancing ? opt.max_iterations : 1;
   for (int iter = 0; iter < rounds; ++iter) {
     obs::Span iter_span("cluster.iteration");
@@ -264,7 +267,6 @@ ClusterResult cluster_maximal(const Graph& g, const ClusterOptions& opt) {
     }
     res.iterations = iter + 1;
     res.info = analysis::compute_info_content(g, res.refinements, opt.threads);
-    res.rp = analysis::compute_required_precision(g, opt.threads);
     const auto breaks = compute_breaks(g, res.info, res.rp, opt.threads);
     res.partition = partition_from_breaks(g, breaks);
     res.per_iteration.push_back(
@@ -282,15 +284,14 @@ ClusterResult cluster_maximal(const Graph& g, const ClusterOptions& opt) {
     const auto& clusters = res.partition.clusters;
     std::vector<InfoContent> bounds(clusters.size());
     auto eval_bound = [&](int i) {
-      const auto& cl = clusters[static_cast<std::size_t>(i)];
       if (support::audit::audit_enabled()) {
         support::audit::audit_write(support::audit::Domain::ClusterBound, i);
-        for (NodeId m : cl.nodes) {
+        for (NodeId m : clusters[static_cast<std::size_t>(i)].nodes) {
           support::audit::audit_read(support::audit::Domain::IcNode, m.value);
         }
       }
       bounds[static_cast<std::size_t>(i)] =
-          rebalanced_cluster_bound(g, cl, res.info);
+          rebalanced_cluster_bound(g, res.partition, i, res.info);
     };
     support::audit::JobLabel job_label("cluster.huffman_bounds");
     if (opt.threads == 1) {

@@ -14,10 +14,8 @@ using dfg::Node;
 using dfg::NodeId;
 using dfg::OpKind;
 
-FlattenedCluster flatten_cluster(const Graph& g, const Cluster& c) {
+FlattenedCluster flatten_cluster(const Graph& g, const Partition& p, int ci) {
   FlattenedCluster out;
-  std::vector<bool> member(static_cast<std::size_t>(g.node_count()), false);
-  for (NodeId n : c.nodes) member[static_cast<std::size_t>(n.value)] = true;
 
   // Explicit-stack pre-order walk (clusters can be 100k-node chains; a
   // recursive walk overflows the stack). Each stack item is either a member
@@ -32,10 +30,11 @@ FlattenedCluster flatten_cluster(const Graph& g, const Cluster& c) {
     int shift;
   };
   std::vector<Item> stack;
-  stack.push_back(Item{false, {}, c.root, false, 0});
+  stack.push_back(
+      Item{false, {}, p.clusters[static_cast<std::size_t>(ci)].root, false, 0});
   Item pending[2];
   while (!stack.empty()) {
-    const Item f = std::move(stack.back());
+    Item f = std::move(stack.back());
     stack.pop_back();
     if (f.is_term) {
       out.terms.push_back(std::move(f.term));
@@ -45,7 +44,7 @@ FlattenedCluster flatten_cluster(const Graph& g, const Cluster& c) {
     int npending = 0;
     auto handle = [&](EdgeId eid, bool sub_neg, int shift) {
       const NodeId src = g.edge(eid).src;
-      if (member[static_cast<std::size_t>(src.value)]) {
+      if (p.index_of(src) == ci) {
         pending[npending++] = Item{false, {}, src, sub_neg, shift};
       } else {
         pending[npending++] =
@@ -84,10 +83,9 @@ FlattenedCluster flatten_cluster(const Graph& g, const Cluster& c) {
   return out;
 }
 
-std::vector<Addend> cluster_addends(const Graph& g, const Cluster& c,
+std::vector<Addend> cluster_addends(const Graph& g,
                                     const FlattenedCluster& flat,
                                     const InfoAnalysis& ia) {
-  (void)c;
   std::vector<Addend> addends;
   for (const Term& t : flat.terms) {
     const std::int64_t sign = t.negate ? -1 : 1;
@@ -133,10 +131,10 @@ std::vector<Addend> cluster_addends(const Graph& g, const Cluster& c,
   return addends;
 }
 
-InfoContent rebalanced_cluster_bound(const Graph& g, const Cluster& c,
-                                     const InfoAnalysis& ia) {
-  const FlattenedCluster flat = flatten_cluster(g, c);
-  return analysis::huffman_rebalanced_bound(cluster_addends(g, c, flat, ia));
+InfoContent rebalanced_cluster_bound(const Graph& g, const Partition& p,
+                                     int ci, const InfoAnalysis& ia) {
+  return analysis::huffman_rebalanced_bound(
+      cluster_addends(g, flatten_cluster(g, p, ci), ia));
 }
 
 }  // namespace dpmerge::cluster

@@ -29,10 +29,13 @@ struct FlattenedCluster {
   std::vector<Term> terms;
 };
 
-/// Flattens a cluster rooted at `c.root` into sum-of-addends form by a
-/// recursive walk over member nodes. Reconvergent member fanout duplicates
-/// terms (x + x), which is the correct multiset semantics.
-FlattenedCluster flatten_cluster(const dfg::Graph& g, const Cluster& c);
+/// Flattens cluster `ci` of `p` into sum-of-addends form by a walk down from
+/// its root over member nodes. Membership is read from `p.cluster_of`, so
+/// the walk costs O(cluster size) with no per-call node-indexed scratch.
+/// Reconvergent member fanout duplicates terms (x + x), which is the correct
+/// multiset semantics.
+FlattenedCluster flatten_cluster(const dfg::Graph& g, const Partition& p,
+                                 int ci);
 
 /// Converts a flattened cluster into the addend multiset consumed by
 /// Huffman_Rebalancing (Section 5.2), using the information-content claims
@@ -41,14 +44,13 @@ FlattenedCluster flatten_cluster(const dfg::Graph& g, const Cluster& c);
 /// ±I); other products contribute a single addend with the product's
 /// intrinsic content.
 std::vector<analysis::Addend> cluster_addends(const dfg::Graph& g,
-                                              const Cluster& c,
                                               const FlattenedCluster& flat,
                                               const analysis::InfoAnalysis& ia);
 
-/// The rebalanced upper bound on the cluster output's information content:
-/// Huffman_Rebalancing over `cluster_addends`.
+/// The rebalanced upper bound on the information content of cluster `ci`'s
+/// output: Huffman_Rebalancing over `cluster_addends`.
 analysis::InfoContent rebalanced_cluster_bound(const dfg::Graph& g,
-                                               const Cluster& c,
+                                               const Partition& p, int ci,
                                                const analysis::InfoAnalysis& ia);
 
 }  // namespace dpmerge::cluster

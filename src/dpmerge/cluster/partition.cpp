@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
 #include <sstream>
 
 namespace dpmerge::cluster {
@@ -89,35 +87,49 @@ std::vector<std::string> validate_partition(const Graph& g,
   std::vector<std::string> errs;
   auto err = [&errs](std::string m) { errs.push_back(std::move(m)); };
 
-  std::vector<int> seen(static_cast<std::size_t>(g.node_count()), -1);
+  // Node-indexed scratch, allocated once per call and stamped with cluster
+  // indices, so no per-cluster clearing is needed: `member[n]` is the last
+  // cluster whose list names n (-1 for none yet), `reached[n]` the last
+  // cluster whose connectivity walk reached n. Membership comes from the
+  // member lists, never from `cluster_of`, which is one of the things being
+  // checked.
+  const auto n_nodes = static_cast<std::size_t>(g.node_count());
+  std::vector<int> member(n_nodes, -1);
+  std::vector<int> reached(n_nodes, -1);
+  std::vector<NodeId> stack;
   for (std::size_t ci = 0; ci < p.clusters.size(); ++ci) {
     const Cluster& c = p.clusters[ci];
+    const int stamp = static_cast<int>(ci);
     if (c.nodes.empty()) {
       err("cluster " + std::to_string(ci) + " is empty");
       continue;
     }
+    int distinct = 0;
     for (NodeId n : c.nodes) {
       if (!dfg::is_arith_operator(g.node(n).kind)) {
         err("cluster " + std::to_string(ci) +
             " contains a non-arithmetic node");
       }
-      if (seen[static_cast<std::size_t>(n.value)] != -1) {
+      int& m = member[static_cast<std::size_t>(n.value)];
+      if (m != -1) {
         err("node " + std::to_string(n.value) + " in two clusters");
       }
-      seen[static_cast<std::size_t>(n.value)] = static_cast<int>(ci);
-      if (p.index_of(n) != static_cast<int>(ci)) {
+      if (m != stamp) ++distinct;
+      m = stamp;
+      if (p.index_of(n) != stamp) {
         err("cluster_of inconsistent for node " + std::to_string(n.value));
       }
     }
+    auto is_member = [&](NodeId n) {
+      return member[static_cast<std::size_t>(n.value)] == stamp;
+    };
     // Unique output: exactly one member (the root) has out-edges leaving the
     // cluster; all other members' fanout stays inside.
-    std::set<int> members;
-    for (NodeId n : c.nodes) members.insert(n.value);
     int exits = 0;
     for (NodeId n : c.nodes) {
       bool leaves = false;
       for (EdgeId eid : g.node(n).out) {
-        if (!members.count(g.edge(eid).dst.value)) leaves = true;
+        if (!is_member(g.edge(eid).dst)) leaves = true;
       }
       if (leaves || g.node(n).out.empty()) {
         ++exits;
@@ -131,31 +143,34 @@ std::vector<std::string> validate_partition(const Graph& g,
       err("cluster " + std::to_string(ci) + " has " + std::to_string(exits) +
           " exit nodes");
     }
-    // Connectivity (as an undirected subgraph).
-    std::set<int> reached;
-    std::vector<NodeId> stack{c.root};
-    reached.insert(c.root.value);
+    // Connectivity (as an undirected subgraph). The root counts as reached
+    // even when it is not listed as a member.
+    int n_reached = 1;
+    stack.assign(1, c.root);
+    reached[static_cast<std::size_t>(c.root.value)] = stamp;
     while (!stack.empty()) {
       const NodeId cur = stack.back();
       stack.pop_back();
       const Node& nd = g.node(cur);
       auto visit = [&](NodeId nb) {
-        if (members.count(nb.value) && !reached.count(nb.value)) {
-          reached.insert(nb.value);
+        int& r = reached[static_cast<std::size_t>(nb.value)];
+        if (is_member(nb) && r != stamp) {
+          r = stamp;
+          ++n_reached;
           stack.push_back(nb);
         }
       };
       for (EdgeId eid : nd.in) visit(g.edge(eid).src);
       for (EdgeId eid : nd.out) visit(g.edge(eid).dst);
     }
-    if (reached.size() != members.size()) {
+    if (n_reached != distinct) {
       err("cluster " + std::to_string(ci) + " is not connected");
     }
   }
   // Coverage: every arithmetic node clustered.
   for (const Node& n : g.nodes()) {
     if (dfg::is_arith_operator(n.kind) &&
-        seen[static_cast<std::size_t>(n.id.value)] == -1) {
+        member[static_cast<std::size_t>(n.id.value)] == -1) {
       err("arithmetic node " + std::to_string(n.id.value) + " unclustered");
     }
   }

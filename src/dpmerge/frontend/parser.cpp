@@ -370,10 +370,22 @@ class Parser {
     return lhs;
   }
 
+  /// Enters one level of `(` or unary `-` nesting. Each level costs several
+  /// native stack frames, so unbounded nesting would overflow the stack;
+  /// past the limit the offending token gets a located error instead.
+  void enter_nesting() {
+    if (++depth_ > kMaxNesting) {
+      fail("expression nested deeper than " + std::to_string(kMaxNesting) +
+           " levels");
+    }
+  }
+
   Value parse_unary() {
     if (cur_.kind == Tok::Minus) {
+      enter_nesting();
       shift();
       const Value v = parse_unary();
+      --depth_;
       const int w = v.width + 1;
       const NodeId id = g_.add_node(OpKind::Neg, w);
       g_.add_edge(v.node, id, 0, w, v.sign);
@@ -384,9 +396,11 @@ class Parser {
 
   Value parse_primary() {
     if (cur_.kind == Tok::LParen) {
+      enter_nesting();
       shift();
       const Value v = parse_cmp();
       expect(Tok::RParen, "')'");
+      --depth_;
       return v;
     }
     if (cur_.kind == Tok::Int) {
@@ -406,10 +420,13 @@ class Parser {
     fail("expected an expression");
   }
 
+  static constexpr int kMaxNesting = 1024;
+
   Lexer lex_;
   Token cur_;
   Graph g_;
   std::map<std::string, Value> scope_;
+  int depth_ = 0;  ///< Current `(` / unary `-` nesting depth.
 };
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "dpmerge/designs/testcases.h"
 #include "dpmerge/dfg/builder.h"
 #include "dpmerge/dfg/random_graph.h"
+#include "dpmerge/obs/obs.h"
 #include "dpmerge/transform/width_prune.h"
 
 namespace dpmerge::cluster {
@@ -151,7 +152,7 @@ TEST(Flatten, SumOfAddendsWithSigns) {
   b.output("r", 8, Operand{t});
   const auto res = cluster_maximal(g);
   ASSERT_EQ(res.partition.num_clusters(), 1);
-  const auto flat = flatten_cluster(g, res.partition.clusters[0]);
+  const auto flat = flatten_cluster(g, res.partition, 0);
   // r = -(a - c) + d = -a + c + d: three terms, exactly one negated.
   ASSERT_EQ(flat.terms.size(), 3u);
   int negs = 0;
@@ -174,7 +175,7 @@ TEST(Flatten, ProductTermsCarryTwoFactors) {
   b.output("r", 9, Operand{t});
   const auto res = cluster_maximal(g);
   ASSERT_EQ(res.partition.num_clusters(), 1);
-  const auto flat = flatten_cluster(g, res.partition.clusters[0]);
+  const auto flat = flatten_cluster(g, res.partition, 0);
   ASSERT_EQ(flat.terms.size(), 2u);
   std::multiset<std::size_t> sizes;
   for (const auto& t2 : flat.terms) sizes.insert(t2.factors.size());
@@ -193,9 +194,8 @@ TEST(Flatten, ConstMultipleBecomesCoefficient) {
   b.output("r", 9, Operand{t});
   const auto res = cluster_maximal(g);
   ASSERT_EQ(res.partition.num_clusters(), 1);
-  const auto& c = res.partition.clusters[0];
   const auto addends =
-      cluster_addends(g, c, flatten_cluster(g, c), res.info);
+      cluster_addends(g, flatten_cluster(g, res.partition, 0), res.info);
   bool found = false;
   for (const auto& ad : addends) {
     if (ad.coefficient == 5) found = true;
@@ -305,6 +305,144 @@ TEST(Clustering, ZeroExtendedSignedProductBreaks) {
   const auto res2 = cluster_maximal(g2);
   EXPECT_EQ(res2.partition.num_clusters(), 1);
   EXPECT_EQ(cluster_of(res2.partition, m2), cluster_of(res2.partition, t2));
+}
+
+TEST(Clustering, RequiredPrecisionRunsOncePerCall) {
+  // The refinement loop never changes the graph, so one required-precision
+  // pass serves every iteration.
+  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
+  Graph g = designs::make_d1();
+  transform::normalize_widths(g);
+  obs::StatSink sink;
+  ClusterResult res;
+  {
+    obs::StatScope scope(&sink);
+    res = cluster_maximal(g);
+  }
+  ASSERT_GT(res.iterations, 1);
+  EXPECT_EQ(sink.get("cluster.iterations"), res.iterations);
+  EXPECT_EQ(sink.get("analysis.required_precision.runs"), 1);
+}
+
+// validate_partition's negative cases: each hand-corrupted partition must
+// produce exactly the listed violations, in the checker's order.
+struct Chain {
+  Graph g;
+  NodeId a, t1, t2;
+};
+
+// r = (a + b) + c: one cluster {t2, t1} rooted at t2.
+Chain make_chain() {
+  Chain c;
+  Builder b(c.g);
+  c.a = b.input("a", 8);
+  const auto bb = b.input("b", 8);
+  const auto cc = b.input("c", 8);
+  c.t1 = b.add(9, Operand{c.a, 9}, Operand{bb, 9});
+  c.t2 = b.add(10, Operand{c.t1, 10}, Operand{cc, 10});
+  b.output("r", 10, Operand{c.t2});
+  return c;
+}
+
+Partition unbroken(const Graph& g) {
+  return partition_from_breaks(
+      g, std::vector<bool>(static_cast<std::size_t>(g.node_count()), false));
+}
+
+std::string id(NodeId n) { return std::to_string(n.value); }
+
+using Errors = std::vector<std::string>;
+
+TEST(ValidatePartition, ChainIsValid) {
+  const Chain c = make_chain();
+  const Partition p = unbroken(c.g);
+  ASSERT_EQ(p.num_clusters(), 1);
+  EXPECT_EQ(p.clusters[0].root, c.t2);
+  EXPECT_EQ(validate_partition(c.g, p), Errors{});
+}
+
+TEST(ValidatePartition, EmptyCluster) {
+  const Chain c = make_chain();
+  Partition p = unbroken(c.g);
+  p.clusters.emplace_back();
+  EXPECT_EQ(validate_partition(c.g, p), Errors{"cluster 1 is empty"});
+}
+
+TEST(ValidatePartition, NonArithmeticMember) {
+  const Chain c = make_chain();
+  Partition p = unbroken(c.g);
+  p.clusters[0].nodes.push_back(c.a);
+  p.cluster_of[static_cast<std::size_t>(c.a.value)] = 0;
+  EXPECT_EQ(validate_partition(c.g, p),
+            Errors{"cluster 0 contains a non-arithmetic node"});
+}
+
+TEST(ValidatePartition, NodeInTwoClusters) {
+  const Chain c = make_chain();
+  Partition p = unbroken(c.g);
+  Cluster dup;
+  dup.root = c.t1;
+  dup.nodes = {c.t1};
+  p.clusters.push_back(dup);
+  EXPECT_EQ(validate_partition(c.g, p),
+            (Errors{"node " + id(c.t1) + " in two clusters",
+                    "cluster_of inconsistent for node " + id(c.t1)}));
+}
+
+TEST(ValidatePartition, InconsistentClusterOf) {
+  // Membership comes from the member lists, not from cluster_of: a wrong
+  // cluster_of entry for the root is reported once and disturbs neither
+  // the exit nor the connectivity check.
+  const Chain c = make_chain();
+  Partition p = unbroken(c.g);
+  p.cluster_of[static_cast<std::size_t>(c.t2.value)] = -1;
+  EXPECT_EQ(validate_partition(c.g, p),
+            Errors{"cluster_of inconsistent for node " + id(c.t2)});
+}
+
+TEST(ValidatePartition, NonRootExit) {
+  const Chain c = make_chain();
+  Partition p = unbroken(c.g);
+  p.clusters[0].root = c.t1;
+  EXPECT_EQ(validate_partition(c.g, p),
+            Errors{"cluster 0: node " + id(c.t2) +
+                   " exits but is not the root"});
+}
+
+TEST(ValidatePartition, DisconnectedClusterHasTwoExits) {
+  // x = a + b and y = c + d feed separate outputs; forcing both into one
+  // cluster gives two exits and a disconnected member set.
+  Graph g;
+  Builder b(g);
+  const auto a = b.input("a", 8);
+  const auto bb = b.input("b", 8);
+  const auto cc = b.input("c", 8);
+  const auto d = b.input("d", 8);
+  const auto x = b.add(9, Operand{a, 9}, Operand{bb, 9});
+  const auto y = b.add(9, Operand{cc, 9}, Operand{d, 9});
+  b.output("x", 9, Operand{x});
+  b.output("y", 9, Operand{y});
+  Partition p = unbroken(g);
+  ASSERT_EQ(p.num_clusters(), 2);
+  Cluster both;
+  both.root = x;
+  both.nodes = {x, y};
+  p.clusters = {both};
+  p.cluster_of[static_cast<std::size_t>(x.value)] = 0;
+  p.cluster_of[static_cast<std::size_t>(y.value)] = 0;
+  EXPECT_EQ(validate_partition(g, p),
+            (Errors{"cluster 0: node " + id(y) + " exits but is not the root",
+                    "cluster 0 has 2 exit nodes",
+                    "cluster 0 is not connected"}));
+}
+
+TEST(ValidatePartition, UnclusteredArithmeticNode) {
+  const Chain c = make_chain();
+  Partition p = unbroken(c.g);
+  p.clusters[0].nodes = {c.t2};
+  p.cluster_of[static_cast<std::size_t>(c.t1.value)] = -1;
+  EXPECT_EQ(validate_partition(c.g, p),
+            Errors{"arithmetic node " + id(c.t1) + " unclustered"});
 }
 
 // Structural property: on random graphs, every clustering variant yields a

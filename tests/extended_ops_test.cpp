@@ -91,8 +91,7 @@ TEST(Shl, MergesIntoClusters) {
   b.output("r", 12, Operand{z});
   const auto res = cluster::cluster_maximal(g);
   EXPECT_EQ(res.partition.num_clusters(), 1);
-  const auto flat =
-      cluster::flatten_cluster(g, res.partition.clusters[0]);
+  const auto flat = cluster::flatten_cluster(g, res.partition, 0);
   int shifted_terms = 0;
   for (const auto& term : flat.terms) {
     if (term.shift > 0) ++shifted_terms;

@@ -166,6 +166,33 @@ TEST(Frontend, OutOfRangeNumbersAreLocatedParseErrors) {
       compile("input a : u8\noutput y : u70 = a + 9223372036854775807\n"));
 }
 
+TEST(Frontend, DeepNestingIsALocatedParseError) {
+  // 100k levels of `(` or of unary `-` would overflow the recursive-descent
+  // parser's stack; the nesting limit refuses them at the first token past
+  // the limit. The expression starts at column 17 of line 3, so the token
+  // that opens level 1025 is at column 17 + 1024.
+  const std::string head = "design d\ninput a : u8\noutput y : u8 = ";
+  const std::size_t n = 100000;
+  for (const std::string& body :
+       {std::string(n, '(') + "a" + std::string(n, ')'),
+        std::string(n, '-') + "a"}) {
+    try {
+      compile(head + body + "\n");
+      FAIL() << "expected a nesting ParseError";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 3) << e.what();
+      EXPECT_EQ(e.column(), 17 + 1024) << e.what();
+      EXPECT_NE(std::string(e.what()).find("nested deeper than 1024"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The limit itself still compiles.
+  EXPECT_NO_THROW(compile(head + std::string(1024, '(') + "a" +
+                          std::string(1024, ')') + "\n"));
+  EXPECT_NO_THROW(compile(head + std::string(1024, '-') + "a\n"));
+}
+
 TEST(Frontend, CompiledDesignSynthesizesCorrectly) {
   const auto res = compile(R"(
 design mac4

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <queue>
+
 #include "dpmerge/analysis/info_content.h"
 #include "dpmerge/support/rng.h"
 
@@ -14,6 +16,28 @@ constexpr Sign S = Sign::Signed;
 std::vector<Addend> uniform(int count, InfoContent ic) {
   return std::vector<Addend>(static_cast<std::size_t>(count),
                              Addend{ic, 1});
+}
+
+// Oracle: Step 2 of the algorithm run literally, a min-heap over every
+// expanded copy, popping the two smallest values (width ascending, unsigned
+// before signed) and pushing their ic_add.
+InfoContent heap_bound(const std::vector<Addend>& addends) {
+  auto flat = expand_addends(addends);
+  if (flat.empty()) return {0, U};
+  auto cmp = [](const InfoContent& a, const InfoContent& b) {
+    if (a.width != b.width) return a.width > b.width;
+    return a.sign == S && b.sign == U;
+  };
+  std::priority_queue<InfoContent, std::vector<InfoContent>, decltype(cmp)>
+      heap(cmp, std::move(flat));
+  while (heap.size() > 1) {
+    const InfoContent m1 = heap.top();
+    heap.pop();
+    const InfoContent m2 = heap.top();
+    heap.pop();
+    heap.push(ic_add(m1, m2));
+  }
+  return heap.top();
 }
 
 TEST(Huffman, Figure4SkewedVsBalanced) {
@@ -89,6 +113,29 @@ TEST(Huffman, NeverWorseThanSequential) {
     }
     EXPECT_LE(huffman_rebalanced_bound(a).width, sequential_bound(a).width);
   }
+}
+
+// The bound works on a count per distinct <i, t>; it must equal the heap
+// over every expanded copy on width-0 addends, mixed signs, negative and
+// zero coefficients, and |c| up to 64 (the Observation 5.9 range).
+TEST(Huffman, MatchesHeapOverExpandedCopies) {
+  Rng rng(2026);
+  for (int t = 0; t < 3000; ++t) {
+    std::vector<Addend> a;
+    const int n = static_cast<int>(rng.uniform(0, 11));
+    for (int k = 0; k < n; ++k) {
+      a.push_back(Addend{{static_cast<int>(rng.uniform(0, 5)),
+                          rng.chance(0.5) ? S : U},
+                         rng.uniform(-64, 64)});
+    }
+    EXPECT_EQ(huffman_rebalanced_bound(a), heap_bound(a)) << "list " << t;
+  }
+}
+
+TEST(Huffman, LargeMultiplicityIsExact) {
+  // 2^20 copies of <8, u> pair up level by level: 20 levels above width 8.
+  EXPECT_EQ(huffman_rebalanced_bound({{{8, U}, std::int64_t{1} << 20}}),
+            (InfoContent{28, U}));
 }
 
 // Theorem 5.10: the Huffman ordering yields the tightest bound among all
