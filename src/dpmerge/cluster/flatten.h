@@ -1,5 +1,8 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "dpmerge/analysis/huffman.h"
@@ -8,6 +11,26 @@
 
 namespace dpmerge::cluster {
 
+/// The factors of a `Term`, held inline: one entry signal, or the two
+/// operands of a product, so a term needs no heap allocation of its own.
+class Factors {
+ public:
+  static constexpr int kMax = 2;
+
+  Factors() = default;
+  Factors(dfg::EdgeId a) : edge_{a, {}}, count_(1) {}  // NOLINT: {e}
+  Factors(dfg::EdgeId a, dfg::EdgeId b) : edge_{a, b}, count_(2) {}
+
+  std::size_t size() const { return count_; }
+  const dfg::EdgeId& operator[](std::size_t i) const { return edge_[i]; }
+  const dfg::EdgeId* begin() const { return edge_.data(); }
+  const dfg::EdgeId* end() const { return edge_.data() + count_; }
+
+ private:
+  std::array<dfg::EdgeId, kMax> edge_{};
+  std::uint8_t count_ = 0;
+};
+
 /// One addend of a cluster's sum-of-addends form (Section 3): an optionally
 /// negated product of at most two signals entering the cluster. Signals are
 /// identified by the entry edges that deliver them; a product of two entry
@@ -15,7 +38,7 @@ namespace dpmerge::cluster {
 /// Condition 1 forces to be cluster inputs).
 struct Term {
   bool negate = false;
-  std::vector<dfg::EdgeId> factors;  ///< 1 (plain signal) or 2 (product).
+  Factors factors;  ///< 1 (plain signal) or 2 (product).
   /// Width of the node that consumed the factors (the entry operand width):
   /// the factor values are the operands delivered at this width.
   int consumed_width = 0;

@@ -28,8 +28,8 @@ std::string TimingOptResult::to_string() const {
 
 namespace {
 
-void cross_check(const Sta& sta, const Netlist& net,
-                 const IncrementalSta& ista) {
+void cross_check(const netlist::CellLibrary& lib, const Sta& sta,
+                 const Netlist& net, const IncrementalSta& ista) {
   if (const auto errs = net.validate(); !errs.empty()) {
     throw std::logic_error("netlist invariant broken: " + errs.front());
   }
@@ -37,11 +37,33 @@ void cross_check(const Sta& sta, const Netlist& net,
   if (std::abs(full.longest_path_ns - ista.longest_path_ns()) > 1e-9) {
     throw std::logic_error("incremental STA longest path diverged from full");
   }
+  const auto loads = sta.net_loads(net);
   for (std::size_t i = 0; i < full.arrival.size(); ++i) {
     if (std::abs(full.arrival[i] - ista.arrivals()[i]) > 1e-9) {
       throw std::logic_error("incremental STA arrival diverged on net " +
                              std::to_string(i));
     }
+    if (std::abs(loads[i] - ista.load(NetId{static_cast<int>(i)})) > 1e-9) {
+      throw std::logic_error("incremental STA load diverged on net " +
+                             std::to_string(i));
+    }
+  }
+  if (full.critical_path != ista.critical_path()) {
+    throw std::logic_error("incremental STA critical path diverged from full");
+  }
+  // Rollbacks and buffer splices must leave exactly the state a rebuild
+  // from scratch computes: same bits, same reader lists.
+  const IncrementalSta fresh(net, lib);
+  bool same = fresh.longest_path_ns() == ista.longest_path_ns() &&
+              fresh.arrivals() == ista.arrivals();
+  for (int n = 0; same && n < net.net_count(); ++n) {
+    const auto a = fresh.readers(NetId{n});
+    const auto b = ista.readers(NetId{n});
+    same = fresh.load(NetId{n}) == ista.load(NetId{n}) &&
+           std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  if (!same) {
+    throw std::logic_error("incremental STA state differs from a rebuild");
   }
 }
 
@@ -59,7 +81,7 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
   res.initial_area = sta.area_scaled(net);
 
   auto check = [&] {
-    if (opt.cross_check_sta) cross_check(sta, net, ista);
+    if (opt.cross_check_sta) cross_check(lib_, sta, net, ista);
   };
 
   // Both keyed by net id: buffer insertion shifts gate ids, not net ids.
@@ -102,7 +124,7 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
                       static_cast<std::int64_t>(std::llround(delta_ns * 1e3)));
       } else {
         --g.drive;  // revert: the larger input cap hurt upstream more
-        ista.update_drive_change(g.id);
+        ista.rollback();
         check();
         locked_upsize.insert(g.output.value);
         obs::stat_add("opt.upsize.reject");
@@ -145,9 +167,8 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
         }
         const double before_ns = ista.longest_path_ns();
         const int rewired = net.insert_buffer(worst, GateId{keep_gate});
-        // Topology changed: incremental state is stale; rebuild it in one
-        // linear pass (insert_buffer kept the gate order topological).
-        ista.rebuild();
+        // Splice the buffer into the timing state and re-time its cone.
+        ista.buffer_inserted(worst);
         check();
         const double delta_ns = before_ns - ista.longest_path_ns();
         if (rewired > 0 && delta_ns > 1e-9) {
@@ -209,7 +230,7 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
           obs::stat_add("opt.downsize.accept");
         } else {
           ++g.drive;
-          ista.update_drive_change(g.id);
+          ista.rollback();
           check();
           break;
         }

@@ -13,9 +13,10 @@ namespace dpmerge::opt {
 ///   (a) upsizing cells on the critical path (X1 -> X2 -> X4), and
 ///   (b) buffering heavily loaded critical nets.
 /// Timing is maintained incrementally (`netlist::IncrementalSta`): a drive
-/// change re-propagates arrivals over the affected forward cone only; a
-/// buffer move splits the fanout in place (`Netlist::insert_buffer`, which
-/// keeps the gate order topological) and pays one linear rebuild. Runtime
+/// change re-propagates arrivals over the affected forward cone only, and a
+/// rejected trial is rolled back over the same cone; a buffer move splits
+/// the fanout in place (`Netlist::insert_buffer`, which keeps the gate
+/// order topological) and is spliced into the timing state. Runtime
 /// therefore grows with netlist size and with the distance from the
 /// target — the property Table 2 measures (smaller, faster initial netlists
 /// need far less optimisation effort).
@@ -28,10 +29,13 @@ struct TimingOptOptions {
   /// and shrink any whose downsizing keeps the target met (area recovery —
   /// commercial optimisers always finish with this).
   bool recover_area = true;
-  /// Debug: after every incremental timing update, check the netlist
-  /// (`Netlist::validate`, which includes the topological gate order) and
-  /// cross-check arrivals and the longest path against a full
-  /// `Sta::analyze`; throw `std::logic_error` on any failure. Expensive —
+  /// Debug: after every incremental timing update, rollback and buffer
+  /// splice, check the netlist (`Netlist::validate`, which includes the
+  /// topological gate order) and cross-check arrivals, loads, the longest
+  /// path and the critical path against a full `Sta::analyze` and
+  /// `Sta::net_loads`, and the whole state bit for bit (reader lists too)
+  /// against an `IncrementalSta` rebuilt from scratch; throw
+  /// `std::logic_error` on any failure. Expensive —
   /// test/debug builds only.
   bool cross_check_sta = false;
 };

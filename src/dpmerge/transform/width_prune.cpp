@@ -54,134 +54,64 @@ PruneStats prune_required_precision(Graph& g) {
 PruneStats prune_info_content(Graph& g,
                               const analysis::InfoRefinements* refinements) {
   PruneStats stats;
-  auto refine = [refinements](NodeId id, InfoContent ic) {
-    if (!refinements) return ic;
-    const auto idx = static_cast<std::size_t>(id.value);
-    if (idx < refinements->size() && (*refinements)[idx].has_value()) {
-      return analysis::ic_meet(ic, *(*refinements)[idx]);
-    }
-    return ic;
-  };
-  // Forward sweep over the pre-existing nodes; Extension nodes inserted on
-  // the way are given their claims at creation time, so consumers (processed
-  // later in the original topological order) can look them up.
-  std::vector<InfoContent> out_claim(static_cast<std::size_t>(g.node_count()));
-  auto claim_of = [&out_claim](NodeId id) {
-    return out_claim[static_cast<std::size_t>(id.value)];
-  };
-  auto set_claim = [&out_claim](NodeId id, InfoContent ic) {
-    if (out_claim.size() <= static_cast<std::size_t>(id.value)) {
-      out_claim.resize(static_cast<std::size_t>(id.value) + 1);
-    }
-    out_claim[static_cast<std::size_t>(id.value)] = ic;
-  };
+  // The claims come from the shared analysis of the graph as it stands.
+  // None of the rewrites below changes any claim — a narrowed edge still
+  // delivers its operand bit for bit, a narrowed node's consumers see the
+  // same operands through the fixed-up or re-extended out-edges — so the
+  // pass needs no analysis of its own as it goes.
+  const analysis::InfoAnalysis ia = analysis::compute_info_content(
+      g, refinements ? *refinements : analysis::InfoRefinements{});
 
   // Snapshot (copy) the frozen order: the loop below inserts Extension
-  // nodes, which invalidates the CSR cache mid-iteration.
+  // nodes, which invalidates the CSR cache mid-iteration. Inserted nodes
+  // are not visited.
   const std::vector<NodeId> order = g.freeze().topo;
+  std::vector<EdgeId> need_ext;
   for (NodeId id : order) {
     const OpKind kind = g.node(id).kind;
 
-    // Operand claim for input port `port`, narrowing the edge on the way
-    // (Lemma 5.7). The sign rewrite is skipped for Extension destinations,
-    // whose second resize uses the node's own t(N) rather than t(e).
-    auto operand_ic = [&](int port) {
-      const EdgeId eid = g.node(id).in[static_cast<std::size_t>(port)];
-      const Edge e = g.edge(eid);
-      const InfoContent src_ic = claim_of(e.src);
-      const int src_w = g.node(e.src).width;
-      const InfoContent on_edge =
-          analysis::ic_resize(src_ic, src_w, e.width, e.sign);
-      const Sign second_ext =
-          kind == OpKind::Extension ? g.node(id).ext_sign : e.sign;
-      const InfoContent op =
-          analysis::ic_resize(on_edge, e.width, g.node(id).width, second_ext);
-      if (kind != OpKind::Extension) {
+    // Lemma 5.7: narrow each in-edge to the content of the operand it
+    // delivers. Not into Extension nodes, whose second resize uses the
+    // node's own t(N) rather than t(e).
+    if (kind != OpKind::Extension) {
+      for (EdgeId eid : g.node(id).in) {
+        const InfoContent op = ia.operand(eid);
         const int target = std::max(1, op.width);
-        if (target < e.width) {
+        if (target < g.edge(eid).width) {
           ++stats.edges_narrowed;
           g.set_edge_width(eid, target);
           g.set_edge_sign(eid, op.sign);
         }
       }
-      return op;
-    };
-
-    InfoContent intrinsic;
-    switch (kind) {
-      case OpKind::Input:
-        intrinsic = {g.node(id).width, g.node(id).ext_sign};
-        break;
-      case OpKind::Const: {
-        const BitVector& v = g.node(id).value;
-        const int iu = v.min_extension_width(Sign::Unsigned);
-        const int is = v.min_extension_width(Sign::Signed);
-        intrinsic = iu <= is ? InfoContent{iu, Sign::Unsigned}
-                             : InfoContent{is, Sign::Signed};
-        break;
-      }
-      case OpKind::Output:
-      case OpKind::Extension:
-        intrinsic = operand_ic(0);
-        break;
-      case OpKind::Neg:
-        intrinsic = analysis::ic_neg(operand_ic(0));
-        break;
-      case OpKind::Add:
-        intrinsic = analysis::ic_add(operand_ic(0), operand_ic(1));
-        break;
-      case OpKind::Sub:
-        intrinsic = analysis::ic_sub(operand_ic(0), operand_ic(1));
-        break;
-      case OpKind::Mul:
-        intrinsic = analysis::ic_mul(operand_ic(0), operand_ic(1));
-        break;
-      case OpKind::Shl: {
-        const InfoContent op = operand_ic(0);
-        intrinsic = {op.width + g.node(id).shift, op.sign};
-        break;
-      }
-      case OpKind::LtS:
-      case OpKind::LtU:
-      case OpKind::Eq:
-        operand_ic(0);
-        operand_ic(1);
-        intrinsic = {1, Sign::Unsigned};
-        break;
     }
-    intrinsic = refine(id, intrinsic);
 
     const int W = g.node(id).width;
-    const InfoContent claim = analysis::ic_clip(intrinsic, W);
-    if (dfg::is_arith_operator(kind) && claim.width >= 1 && claim.width < W) {
-      // Lemma 5.6: shrink the node to its information content. Out-edges are
-      // adjusted so every consumer sees a bit-identical operand; only the
-      // signed-content/zero-padding combination needs an explicit Extension
-      // node (see DESIGN.md §2 and the comment block above).
-      const int i = claim.width;
-      const Sign t = claim.sign;
-      std::vector<EdgeId> need_ext;
-      for (EdgeId eid : g.node(id).out) {
-        const Edge& e = g.edge(eid);
-        if (e.width <= i || e.sign == t) continue;
-        if (t == Sign::Unsigned && e.sign == Sign::Signed) {
-          g.set_edge_sign(eid, Sign::Unsigned);
-          continue;
-        }
-        need_ext.push_back(eid);
+    const InfoContent claim = ia.out(id);
+    if (!dfg::is_arith_operator(kind) || claim.width < 1 || claim.width >= W) {
+      continue;
+    }
+    // Lemma 5.6: shrink the node to its information content. Out-edges are
+    // adjusted so every consumer sees a bit-identical operand; only the
+    // signed-content/zero-padding combination needs an explicit Extension
+    // node (see DESIGN.md §2).
+    const int i = claim.width;
+    const Sign t = claim.sign;
+    need_ext.clear();
+    for (EdgeId eid : g.node(id).out) {
+      const Edge& e = g.edge(eid);
+      if (e.width <= i || e.sign == t) continue;
+      if (t == Sign::Unsigned && e.sign == Sign::Signed) {
+        g.set_edge_sign(eid, Sign::Unsigned);
+        continue;
       }
-      stats.bits_removed += W - i;
-      ++stats.nodes_narrowed;
-      g.set_node_width(id, i);
-      set_claim(id, claim);
-      if (!need_ext.empty()) {
-        ++stats.extensions_inserted;
-        const NodeId ext =
-            g.insert_extension_retarget(id, W, Sign::Signed, need_ext);
-        set_claim(ext, claim);
-      }
-    } else {
-      set_claim(id, claim);
+      need_ext.push_back(eid);
+    }
+    stats.bits_removed += W - i;
+    ++stats.nodes_narrowed;
+    g.set_node_width(id, i);
+    if (!need_ext.empty()) {
+      ++stats.extensions_inserted;
+      g.insert_extension_retarget(id, W, Sign::Signed, need_ext);
     }
   }
   return stats;

@@ -15,22 +15,17 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "dpmerge/designs/kernels.h"
-#include "dpmerge/designs/testcases.h"
 #include "dpmerge/dfg/random_graph.h"
-#include "dpmerge/frontend/parser.h"
 #include "dpmerge/netlist/packed_sim.h"
 #include "dpmerge/netlist/sta.h"
 #include "dpmerge/opt/timing_opt.h"
 #include "dpmerge/support/rng.h"
 #include "dpmerge/synth/flow.h"
+#include "paper_designs.h"
 
 namespace dpmerge {
 namespace {
@@ -42,6 +37,8 @@ using netlist::Netlist;
 using netlist::PackedSimulator;
 using netlist::Sta;
 using synth::Flow;
+using test_support::Design;
+using test_support::paper_designs;
 
 constexpr Flow kFlows[] = {Flow::NoMerge, Flow::OldMerge, Flow::NewMerge};
 
@@ -204,36 +201,6 @@ void check_all_flows(const dfg::Graph& g, const std::string& name, Rng& rng) {
     expect_order_matches_kahn(
         res.net, name + "/" + std::string(synth::to_string(f)), rng);
   }
-}
-
-struct Design {
-  std::string name;
-  dfg::Graph graph;
-};
-
-/// D1–D5, the six DSP kernels and the example .dp designs.
-std::vector<Design> paper_designs() {
-  std::vector<Design> out;
-  for (auto& tc : designs::all_testcases()) {
-    out.push_back({tc.name, std::move(tc.graph)});
-  }
-  for (auto& k : designs::dsp_kernels()) {
-    out.push_back({k.name, std::move(k.graph)});
-  }
-  std::vector<std::filesystem::path> files;
-  for (const auto& e :
-       std::filesystem::directory_iterator(DPMERGE_EXAMPLE_DESIGNS)) {
-    if (e.path().extension() == ".dp") files.push_back(e.path());
-  }
-  std::sort(files.begin(), files.end());
-  for (const auto& path : files) {
-    std::ifstream in(path);
-    std::stringstream src;
-    src << in.rdbuf();
-    out.push_back(
-        {path.filename().string(), frontend::compile(src.str()).graph});
-  }
-  return out;
 }
 
 TEST(NetlistOrder, PaperDesignsMatchKahnOracle) {

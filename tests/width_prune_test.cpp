@@ -2,19 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "dpmerge/analysis/info_content.h"
 #include "dpmerge/designs/figures.h"
+#include "dpmerge/designs/kernels.h"
+#include "dpmerge/designs/scale.h"
 #include "dpmerge/designs/testcases.h"
 #include "dpmerge/dfg/builder.h"
 #include "dpmerge/dfg/eval.h"
+#include "dpmerge/dfg/io.h"
 #include "dpmerge/dfg/random_graph.h"
 
 namespace dpmerge::transform {
 namespace {
 
+using analysis::InfoContent;
 using dfg::Builder;
+using dfg::Edge;
+using dfg::EdgeId;
 using dfg::Graph;
 using dfg::NodeId;
+using dfg::OpKind;
 using dfg::Operand;
 
 void expect_equivalent(const Graph& before, const Graph& after,
@@ -241,6 +253,198 @@ TEST(Normalize, ClaimsRemainSoundAfterPruning) {
       }
     }
   }
+}
+
+/// The information-content prune as a self-contained forward sweep with
+/// its own copy of the transfer functions, recomputing each claim on the
+/// graph as rewritten so far: the reference `prune_info_content` (which
+/// reads every claim from one `compute_info_content` of the unrewritten
+/// graph) must reproduce exactly.
+PruneStats oracle_prune_info_content(
+    Graph& g, const analysis::InfoRefinements* refinements = nullptr) {
+  PruneStats stats;
+  auto refine = [refinements](NodeId id, InfoContent ic) {
+    if (!refinements) return ic;
+    const auto idx = static_cast<std::size_t>(id.value);
+    if (idx < refinements->size() && (*refinements)[idx].has_value()) {
+      return analysis::ic_meet(ic, *(*refinements)[idx]);
+    }
+    return ic;
+  };
+  std::vector<InfoContent> out_claim(static_cast<std::size_t>(g.node_count()));
+  auto claim_of = [&out_claim](NodeId id) {
+    return out_claim[static_cast<std::size_t>(id.value)];
+  };
+  auto set_claim = [&out_claim](NodeId id, InfoContent ic) {
+    if (out_claim.size() <= static_cast<std::size_t>(id.value)) {
+      out_claim.resize(static_cast<std::size_t>(id.value) + 1);
+    }
+    out_claim[static_cast<std::size_t>(id.value)] = ic;
+  };
+  const std::vector<NodeId> order = g.freeze().topo;
+  for (NodeId id : order) {
+    const OpKind kind = g.node(id).kind;
+    auto operand_ic = [&](int port) {
+      const EdgeId eid = g.node(id).in[static_cast<std::size_t>(port)];
+      const Edge e = g.edge(eid);
+      const InfoContent src_ic = claim_of(e.src);
+      const int src_w = g.node(e.src).width;
+      const InfoContent on_edge =
+          analysis::ic_resize(src_ic, src_w, e.width, e.sign);
+      const Sign second_ext =
+          kind == OpKind::Extension ? g.node(id).ext_sign : e.sign;
+      const InfoContent op =
+          analysis::ic_resize(on_edge, e.width, g.node(id).width, second_ext);
+      if (kind != OpKind::Extension) {
+        const int target = std::max(1, op.width);
+        if (target < e.width) {
+          ++stats.edges_narrowed;
+          g.set_edge_width(eid, target);
+          g.set_edge_sign(eid, op.sign);
+        }
+      }
+      return op;
+    };
+    InfoContent intrinsic;
+    switch (kind) {
+      case OpKind::Input:
+        intrinsic = {g.node(id).width, g.node(id).ext_sign};
+        break;
+      case OpKind::Const: {
+        const BitVector& v = g.node(id).value;
+        const int iu = v.min_extension_width(Sign::Unsigned);
+        const int is = v.min_extension_width(Sign::Signed);
+        intrinsic = iu <= is ? InfoContent{iu, Sign::Unsigned}
+                             : InfoContent{is, Sign::Signed};
+        break;
+      }
+      case OpKind::Output:
+      case OpKind::Extension:
+        intrinsic = operand_ic(0);
+        break;
+      case OpKind::Neg:
+        intrinsic = analysis::ic_neg(operand_ic(0));
+        break;
+      case OpKind::Add:
+        intrinsic = analysis::ic_add(operand_ic(0), operand_ic(1));
+        break;
+      case OpKind::Sub:
+        intrinsic = analysis::ic_sub(operand_ic(0), operand_ic(1));
+        break;
+      case OpKind::Mul:
+        intrinsic = analysis::ic_mul(operand_ic(0), operand_ic(1));
+        break;
+      case OpKind::Shl: {
+        const InfoContent op = operand_ic(0);
+        intrinsic = {op.width + g.node(id).shift, op.sign};
+        break;
+      }
+      case OpKind::LtS:
+      case OpKind::LtU:
+      case OpKind::Eq:
+        operand_ic(0);
+        operand_ic(1);
+        intrinsic = {1, Sign::Unsigned};
+        break;
+    }
+    intrinsic = refine(id, intrinsic);
+    const int W = g.node(id).width;
+    const InfoContent claim = analysis::ic_clip(intrinsic, W);
+    if (dfg::is_arith_operator(kind) && claim.width >= 1 && claim.width < W) {
+      const int i = claim.width;
+      const Sign t = claim.sign;
+      std::vector<EdgeId> need_ext;
+      for (EdgeId eid : g.node(id).out) {
+        const Edge& e = g.edge(eid);
+        if (e.width <= i || e.sign == t) continue;
+        if (t == Sign::Unsigned && e.sign == Sign::Signed) {
+          g.set_edge_sign(eid, Sign::Unsigned);
+          continue;
+        }
+        need_ext.push_back(eid);
+      }
+      stats.bits_removed += W - i;
+      ++stats.nodes_narrowed;
+      g.set_node_width(id, i);
+      set_claim(id, claim);
+      if (!need_ext.empty()) {
+        ++stats.extensions_inserted;
+        const NodeId ext =
+            g.insert_extension_retarget(id, W, Sign::Signed, need_ext);
+        set_claim(ext, claim);
+      }
+    } else {
+      set_claim(id, claim);
+    }
+  }
+  return stats;
+}
+
+/// prune_info_content against the oracle sweep: the same graph text and
+/// the same stats, with and without refinements.
+void expect_matches_oracle_once(const Graph& g, const std::string& what,
+                                int* extensions) {
+  Graph a = g;
+  Graph b = g;
+  const PruneStats sa = prune_info_content(a);
+  const PruneStats sb = oracle_prune_info_content(b);
+  EXPECT_EQ(dfg::to_text(a), dfg::to_text(b)) << what;
+  EXPECT_EQ(sa.to_string(), sb.to_string()) << what;
+  if (extensions) *extensions += sa.extensions_inserted;
+
+  // Refinements: every third arithmetic node claims one bit less than its
+  // analysis bound (refinements need not be sound to exercise the rewrite).
+  const auto ia = analysis::compute_info_content(g);
+  analysis::InfoRefinements ref(static_cast<std::size_t>(g.node_count()));
+  for (const auto& n : g.nodes()) {
+    const InfoContent c = ia.intr(n.id);
+    if (dfg::is_arith_operator(n.kind) && n.id.value % 3 == 0 && c.width > 1) {
+      ref[static_cast<std::size_t>(n.id.value)] =
+          InfoContent{c.width - 1, c.sign};
+    }
+  }
+  Graph ra = g;
+  Graph rb = g;
+  const PruneStats rsa = prune_info_content(ra, &ref);
+  const PruneStats rsb = oracle_prune_info_content(rb, &ref);
+  EXPECT_EQ(dfg::to_text(ra), dfg::to_text(rb)) << what << " (refined)";
+  EXPECT_EQ(rsa.to_string(), rsb.to_string()) << what << " (refined)";
+}
+
+/// The comparison on `g` and on the graph the next `normalize_widths`
+/// round sees (one prune of each kind), which carries the Extension nodes
+/// the first prune inserted.
+void expect_matches_oracle(const Graph& g, const std::string& what,
+                           int* extensions = nullptr) {
+  expect_matches_oracle_once(g, what, extensions);
+  Graph next = g;
+  prune_info_content(next);
+  prune_required_precision(next);
+  expect_matches_oracle_once(next, what + " (round 2)", nullptr);
+}
+
+TEST(IcPrune, MatchesSelfContainedSweepOnDesignCorpus) {
+  for (const auto& tc : designs::all_testcases()) {
+    expect_matches_oracle(tc.graph, tc.name);
+  }
+  for (const auto& k : designs::dsp_kernels()) {
+    expect_matches_oracle(k.graph, k.name);
+  }
+  for (const auto& d : designs::scale_suite(1000)) {
+    expect_matches_oracle(d.graph, d.name);
+  }
+}
+
+TEST(IcPrune, MatchesSelfContainedSweepOnRandomGraphs) {
+  int extensions = 0;
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    Rng rng(seed);
+    dfg::RandomGraphOptions o;
+    if (seed % 3 == 0) o.max_width = 130;
+    expect_matches_oracle(dfg::random_graph(rng, o),
+                          "seed " + std::to_string(seed), &extensions);
+  }
+  EXPECT_GT(extensions, 100);  // the Extension path is exercised
 }
 
 }  // namespace
