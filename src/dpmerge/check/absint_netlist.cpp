@@ -132,7 +132,7 @@ CheckReport lint_netlist_deadlogic(const Netlist& nl,
     return l;
   };
   for (const Gate& gt : gates) {
-    const GateId gid = gt.id;
+    const GateId gid = nl.id_of(gt);
     const auto out_idx = static_cast<std::size_t>(gt.output.value);
     if (tri[out_idx] != kU) {
       ++st.constant_cells;

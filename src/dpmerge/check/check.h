@@ -113,7 +113,6 @@ CheckReport verify(const dfg::Graph& g);
 
 /// Structural netlist verifier. Rule catalog (all Error unless noted):
 ///   net.range            net id out of [0, net_count)
-///   net.gate.id          gate id does not match its storage index
 ///   net.gate.arity       pin count differs from cell_input_count(type)
 ///   net.gate.drive       drive-strength index outside the library's variants
 ///   net.multi-driven     more than one gate drives a net

@@ -142,12 +142,6 @@ CheckReport verify(const Netlist& n, const CellLibrary* lib,
   for (int gi = 0; gi < ng; ++gi) {
     const Gate& g = n.gates()[static_cast<std::size_t>(gi)];
     auto at = [gi] { return Locus{"gate", gi, -1, {}}; };
-    if (g.id.value != gi) {
-      rep.add(Severity::Error, "net.gate.id",
-              "gate at index " + std::to_string(gi) + " carries id " +
-                  std::to_string(g.id.value),
-              at());
-    }
     const int want = netlist::cell_input_count(g.type);
     if (static_cast<int>(g.inputs.size()) != want) {
       rep.add(Severity::Error, "net.gate.arity",
@@ -156,7 +150,7 @@ CheckReport verify(const Netlist& n, const CellLibrary* lib,
                   " input pin(s), has " + std::to_string(g.inputs.size()),
               at());
     }
-    if (g.drive < 0 || g.drive >= netlist::kDriveLevels) {
+    if (g.drive >= netlist::kDriveLevels) {
       rep.add(Severity::Error, "net.gate.drive",
               "gate " + std::to_string(gi) + ": drive index " +
                   std::to_string(g.drive) + " outside the library's " +
@@ -250,7 +244,7 @@ CheckReport verify(const Netlist& n, const CellLibrary* lib,
     }
   }
 
-  bool ranges_ok = !rep.has_rule("net.range") && !rep.has_rule("net.gate.id");
+  bool ranges_ok = !rep.has_rule("net.range");
   if (ranges_ok) {
     if (opts.warnings) {
       for (int gi = 0; gi < ng; ++gi) {

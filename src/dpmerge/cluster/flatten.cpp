@@ -1,5 +1,6 @@
 #include "dpmerge/cluster/flatten.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace dpmerge::cluster {
@@ -102,24 +103,32 @@ std::vector<Addend> cluster_addends(const Graph& g,
     const InfoContent ic0 = ia.operand(t.factors[0]);
     const InfoContent ic1 = ia.operand(t.factors[1]);
     int const_idx = -1;
-    for (int k = 0; k < 2; ++k) {
-      const Node& src = g.node(g.edge(t.factors[static_cast<std::size_t>(k)]).src);
-      if (src.kind == OpKind::Const && src.value.width() <= 63 &&
-          const_idx == -1) {
+    for (int k = 0; k < 2 && const_idx == -1; ++k) {
+      const EdgeId e = t.factors[static_cast<std::size_t>(k)];
+      const InfoContent claim = k == 0 ? ic0 : ic1;
+      if (g.node(g.edge(e).src).kind == OpKind::Const && claim.width <= 63) {
         const_idx = k;
       }
     }
     if (const_idx >= 0) {
-      const Node& src =
-          g.node(g.edge(t.factors[static_cast<std::size_t>(const_idx)]).src);
-      // Interpret the constant through its own minimal claim: unsigned
-      // content reads as a non-negative integer, signed content as two's
-      // complement.
-      const int iu = src.value.min_extension_width(Sign::Unsigned);
-      const std::int64_t cval = iu < src.value.width()
-                                    ? static_cast<std::int64_t>(
-                                          src.value.to_uint64())
-                                    : src.value.to_int64();
+      const EdgeId e = t.factors[static_cast<std::size_t>(const_idx)];
+      const Edge& edge = g.edge(e);
+      const InfoContent claim = const_idx == 0 ? ic0 : ic1;
+      // The coefficient is the operand the multiplier receives: the
+      // constant resized to w(e) with t(e), then to the multiplier's width,
+      // read as its claim reads it (the synthesiser gives the top bit
+      // negative weight iff the claim is signed). The constant's own bit
+      // pattern is not enough: 1101 delivered on an unsigned edge is 13,
+      // not -3. Only the low claim.width <= 63 bits of each resize reach
+      // the result, so one word holds every step.
+      const BitVector& c = g.node(edge.src).value;
+      const int w1 = std::min(edge.width, claim.width);
+      const int w2 = std::min(t.consumed_width, claim.width);
+      std::uint64_t carried = 0, delivered = 0, coefficient = 0;
+      words::resize(&carried, w1, c.words().data(), c.width(), edge.sign);
+      words::resize(&delivered, w2, &carried, w1, edge.sign);
+      words::resize(&coefficient, 64, &delivered, w2, claim.sign);
+      const auto cval = static_cast<std::int64_t>(coefficient);
       if (std::llabs(cval) <= 64) {
         const InfoContent other = const_idx == 0 ? ic1 : ic0;
         addends.push_back(Addend{shifted(other), sign * cval});

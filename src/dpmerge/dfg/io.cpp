@@ -1,5 +1,6 @@
 #include "dpmerge/dfg/io.h"
 
+#include <cctype>
 #include <charconv>
 #include <cstdint>
 #include <map>
@@ -8,6 +9,8 @@
 #include <string>
 #include <system_error>
 #include <vector>
+
+#include "dpmerge/support/limits.h"
 
 namespace dpmerge::dfg {
 
@@ -144,10 +147,35 @@ Graph parse_graph(const std::string& text) {
     ++lineno;
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
     std::vector<std::string> tok;
-    for (std::string t; ls >> t;) tok.push_back(t);
+    std::vector<int> col;  // 1-based column of each token
+    for (std::size_t i = 0; i < line.size();) {
+      if (std::isspace(static_cast<unsigned char>(line[i]))) {
+        ++i;
+        continue;
+      }
+      const std::size_t start = i;
+      while (i < line.size() &&
+             !std::isspace(static_cast<unsigned char>(line[i]))) {
+        ++i;
+      }
+      tok.push_back(line.substr(start, i - start));
+      col.push_back(static_cast<int>(start) + 1);
+    }
     if (tok.empty()) continue;
+    // Token k as a width (or shift amount, `positive` false): within
+    // Limits::max_width, else refused at the token's line and column.
+    auto width_at = [&](std::size_t k, bool positive = true) {
+      const int w = number_from<int>(tok[k], lineno);
+      if (positive && w <= 0) fail("width must be positive");
+      if (w > Limits::max_width) {
+        throw std::invalid_argument(
+            "line " + std::to_string(lineno) + ":" + std::to_string(col[k]) +
+            ": '" + tok[k] + "' exceeds the width limit of " +
+            std::to_string(Limits::max_width) + " bits");
+      }
+      return w;
+    };
 
     if (!header_seen) {
       if (tok.size() != 2 || tok[0] != "dfg" || tok[1] != "v1") {
@@ -160,21 +188,18 @@ Graph parse_graph(const std::string& text) {
     const std::string& cmd = tok[0];
     if (cmd == "input") {
       if (tok.size() < 3 || tok.size() > 4) fail("input <name> <width> [sign]");
-      const int w = number_from<int>(tok[2], lineno);
-      if (w <= 0) fail("width must be positive");
+      const int w = width_at(2);
       const NodeId id = g.add_node(OpKind::Input, w, tok[1]);
       g.set_node_ext_sign(id, tok.size() == 4 ? sign_from(tok[3], lineno)
                                               : Sign::Signed);
       define(tok[1], id);
     } else if (cmd == "output") {
       if (tok.size() != 3) fail("output <name> <width>");
-      const int w = number_from<int>(tok[2], lineno);
-      if (w <= 0) fail("width must be positive");
+      const int w = width_at(2);
       define(tok[1], g.add_node(OpKind::Output, w, tok[1]));
     } else if (cmd == "const") {
       if (tok.size() != 4) fail("const <name> <width> <value>");
-      const int w = number_from<int>(tok[2], lineno);
-      if (w <= 0) fail("width must be positive");
+      const int w = width_at(2);
       BitVector v;
       if (tok[3].rfind("0b", 0) == 0) {
         const std::string bits = tok[3].substr(2);
@@ -190,12 +215,11 @@ Graph parse_graph(const std::string& text) {
     } else if (cmd == "node") {
       if (tok.size() < 4) fail("node <name> <kind> <width> [arg]");
       const OpKind k = kind_from(tok[2], lineno);
-      const int w = number_from<int>(tok[3], lineno);
-      if (w <= 0) fail("width must be positive");
+      const int w = width_at(3);
       const NodeId id = g.add_node(k, w, tok[1]);
       if (k == OpKind::Shl) {
         if (tok.size() != 5) fail("shl needs a shift amount");
-        const int s = number_from<int>(tok[4], lineno);
+        const int s = width_at(4, /*positive=*/false);
         if (s < 0) fail("shift must be non-negative");
         g.set_node_shift(id, s);
       } else if (k == OpKind::Extension) {
@@ -210,8 +234,7 @@ Graph parse_graph(const std::string& text) {
       const NodeId src = lookup(tok[1]);
       const NodeId dst = lookup(tok[2]);
       const int port = number_from<int>(tok[3], lineno);
-      const int w = number_from<int>(tok[4], lineno);
-      if (w <= 0) fail("width must be positive");
+      const int w = width_at(4);
       const int want = operand_count(g.node(dst).kind);
       if (port < 0 || port >= want) fail("port out of range");
       if (static_cast<int>(g.node(dst).in.size()) > port &&

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <limits>
 #include <map>
 #include <stdexcept>
 #include <system_error>
@@ -10,6 +9,7 @@
 
 #include "dpmerge/check/check.h"
 #include "dpmerge/obs/obs.h"
+#include "dpmerge/support/limits.h"
 
 namespace dpmerge::frontend {
 
@@ -215,6 +215,19 @@ class Parser {
 
   void shift() { cur_ = lex_.next(); }
 
+  /// The width `w` of an expression built at operator `op`, refused there
+  /// past Limits::max_width (operands are within it, so `w` cannot
+  /// overflow).
+  static int derived_width(int w, const Token& op) {
+    if (w > Limits::max_width) {
+      throw ParseError(op.line, op.col, op.text,
+                       "expression width " + std::to_string(w) +
+                           " exceeds the limit of " +
+                           std::to_string(Limits::max_width) + " bits");
+    }
+    return w;
+  }
+
   void expect(Tok k, const char* what) {
     if (cur_.kind != k) fail(std::string("expected ") + what);
     shift();
@@ -251,6 +264,10 @@ class Parser {
       bad("width out of range in '" + t + "'");
     }
     if (w <= 0) bad("width must be positive in '" + t + "'");
+    if (w > Limits::max_width) {
+      bad("width in '" + t + "' exceeds the limit of " +
+          std::to_string(Limits::max_width) + " bits");
+    }
     return {w, t[0] == 's' ? Sign::Signed : Sign::Unsigned};
   }
 
@@ -300,14 +317,17 @@ class Parser {
   Value parse_cmp() {
     Value lhs = parse_addsub();
     if (cur_.kind != Tok::Lt && cur_.kind != Tok::EqEq) return lhs;
+    const Token at = cur_;
     const Tok op = cur_.kind;
     shift();
     Value rhs = parse_addsub();
     // Compare at a common lossless width; a mixed-sign compare widens the
     // unsigned side by one and compares signed.
     bool cmp_signed = lhs.sign == Sign::Signed || rhs.sign == Sign::Signed;
-    int w = std::max(lhs.width + (lhs.sign == Sign::Unsigned && cmp_signed),
-                     rhs.width + (rhs.sign == Sign::Unsigned && cmp_signed));
+    const int w = derived_width(
+        std::max(lhs.width + (lhs.sign == Sign::Unsigned && cmp_signed),
+                 rhs.width + (rhs.sign == Sign::Unsigned && cmp_signed)),
+        at);
     const OpKind kind = op == Tok::EqEq  ? OpKind::Eq
                         : cmp_signed     ? OpKind::LtS
                                          : OpKind::LtU;
@@ -320,6 +340,7 @@ class Parser {
   Value parse_addsub() {
     Value lhs = parse_mul();
     while (cur_.kind == Tok::Plus || cur_.kind == Tok::Minus) {
+      const Token at = cur_;
       const bool sub = cur_.kind == Tok::Minus;
       shift();
       const Value rhs = parse_mul();
@@ -327,7 +348,7 @@ class Parser {
           (sub || lhs.sign == Sign::Signed || rhs.sign == Sign::Signed)
               ? Sign::Signed
               : Sign::Unsigned;
-      const int w = std::max(lhs.width, rhs.width) + 1;
+      const int w = derived_width(std::max(lhs.width, rhs.width) + 1, at);
       const NodeId id = g_.add_node(sub ? OpKind::Sub : OpKind::Add, w);
       g_.add_edge(lhs.node, id, 0, w, lhs.sign);
       g_.add_edge(rhs.node, id, 1, w, rhs.sign);
@@ -339,10 +360,11 @@ class Parser {
   Value parse_mul() {
     Value lhs = parse_shift();
     while (cur_.kind == Tok::Star) {
+      const Token at = cur_;
       shift();
       const Value rhs = parse_shift();
       const Sign s = lhs.sign | rhs.sign;
-      const int w = lhs.width + rhs.width;
+      const int w = derived_width(lhs.width + rhs.width, at);
       const NodeId id = g_.add_node(OpKind::Mul, w);
       g_.add_edge(lhs.node, id, 0, w, lhs.sign);
       g_.add_edge(rhs.node, id, 1, w, rhs.sign);
@@ -356,8 +378,9 @@ class Parser {
     while (cur_.kind == Tok::Shl) {
       shift();
       if (cur_.kind != Tok::Int) fail("shift amount must be a literal");
-      if (cur_.value > std::numeric_limits<int>::max() - lhs.width) {
-        fail("shift amount out of range");
+      if (cur_.value > Limits::max_width - lhs.width) {
+        fail("shift amount out of range: the result would exceed the limit "
+             "of " + std::to_string(Limits::max_width) + " bits");
       }
       const int s = static_cast<int>(cur_.value);
       shift();
@@ -382,11 +405,12 @@ class Parser {
 
   Value parse_unary() {
     if (cur_.kind == Tok::Minus) {
+      const Token at = cur_;
       enter_nesting();
       shift();
       const Value v = parse_unary();
       --depth_;
-      const int w = v.width + 1;
+      const int w = derived_width(v.width + 1, at);
       const NodeId id = g_.add_node(OpKind::Neg, w);
       g_.add_edge(v.node, id, 0, w, v.sign);
       return Value{id, w, Sign::Signed};

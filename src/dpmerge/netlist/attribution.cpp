@@ -14,8 +14,8 @@ PathAttribution attribute_critical_path(const Netlist& n,
     seg.incr_ns = seg.arrival_ns - prev_arrival;
     prev_arrival = seg.arrival_ns;
     if (const Gate* drv = n.driver(net)) {
-      seg.gate = drv->id;
-      seg.owner = n.provenance_owner(drv->id);
+      seg.gate = n.id_of(*drv);
+      seg.owner = n.provenance_owner(seg.gate);
       out.path_gates_by_owner[seg.owner] += 1;
     }
     // Primary-input segments arrive at t = 0 and bill nothing; gate
@@ -30,7 +30,7 @@ std::map<int, OwnerCensus> census_by_owner(const Netlist& n,
                                            const CellLibrary& lib) {
   std::map<int, OwnerCensus> out;
   for (const Gate& g : n.gates()) {
-    OwnerCensus& c = out[n.provenance_owner(g.id)];
+    OwnerCensus& c = out[n.provenance_owner(n.id_of(g))];
     c.gates += 1;
     c.area += lib.variant(g.type, g.drive).area;
   }

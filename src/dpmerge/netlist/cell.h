@@ -22,6 +22,9 @@ enum class CellType : unsigned char {
   MUX2,  // inputs: {d0, d1, sel}
 };
 
+/// Number of cell types: arrays indexed by CellType have this size.
+constexpr int kCellTypes = static_cast<int>(CellType::MUX2) + 1;
+
 int cell_input_count(CellType t);
 std::string_view to_string(CellType t);
 
@@ -70,7 +73,7 @@ class CellLibrary {
 
  private:
   CellLibrary();
-  std::array<CellSpec, 9> specs_;
+  std::array<CellSpec, kCellTypes> specs_;
 };
 
 }  // namespace dpmerge::netlist

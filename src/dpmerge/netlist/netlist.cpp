@@ -65,12 +65,12 @@ void Netlist::check_new_gate(CellType t, const Pins& inputs, NetId out) const {
                                 " is already driven by gate " +
                                 std::to_string(drv));
   }
-  for (const Gate& g : gates_) {
-    for (NetId in : g.inputs) {
+  for (std::size_t gi = 0; gi < gates_.size(); ++gi) {
+    for (NetId in : gates_[gi].inputs) {
       if (in == out) {
         throw std::invalid_argument(
             at() + ": net " + std::to_string(out.value) +
-            " is already read by earlier gate " + std::to_string(g.id.value) +
+            " is already read by earlier gate " + std::to_string(gi) +
             "; gates must be added in topological order");
       }
     }
@@ -82,18 +82,22 @@ GateId Netlist::add_gate_driving(CellType t, Pins inputs, NetId out) {
   return append_gate(t, inputs, out);
 }
 
+void Netlist::reserve(std::size_t gates, std::size_t nets) {
+  gates_.reserve(gates);
+  driver_of_.reserve(nets);
+#ifndef DPMERGE_OBS_DISABLED
+  gate_owner_.reserve(gates);
+#endif
+}
+
 GateId Netlist::append_gate(CellType t, const Pins& inputs, NetId out) {
-  Gate g;
-  g.id = GateId{static_cast<int>(gates_.size())};
-  g.type = t;
-  g.inputs = inputs;
-  g.output = out;
-  driver_of_[static_cast<std::size_t>(out.value)] = g.id.value;
-  gates_.push_back(g);
+  const GateId id{static_cast<int>(gates_.size())};
+  driver_of_[static_cast<std::size_t>(out.value)] = id.value;
+  gates_.push_back(Gate{t, 0, inputs, out});
 #ifndef DPMERGE_OBS_DISABLED
   gate_owner_.push_back(current_owner_);
 #endif
-  return g.id;
+  return id;
 }
 
 int Netlist::insert_buffer(NetId net, GateId keep_reader) {
@@ -106,27 +110,21 @@ int Netlist::insert_buffer(NetId net, GateId keep_reader) {
   const int pos = drv >= 0 ? drv + 1 : 0;
   const NetId buffered = new_net();
 
-  Gate b;
-  b.id = GateId{pos};
-  b.type = CellType::BUF;
-  b.inputs = {net};
-  b.output = buffered;
-  gates_.insert(gates_.begin() + pos, b);
+  gates_.insert(gates_.begin() + pos, Gate{CellType::BUF, 0, {net}, buffered});
 #ifndef DPMERGE_OBS_DISABLED
   gate_owner_.insert(gate_owner_.begin() + pos, current_owner_);
 #endif
   driver_of_[static_cast<std::size_t>(buffered.value)] = pos;
 
   // Every reader of `net` follows its driver, so one sweep over the shifted
-  // tail renumbers the gates and finds all the pins to rewire.
+  // tail moves the drivers and finds all the pins to rewire. The gate now
+  // at index i had id i - 1 before the call.
   int rewired = 0;
   for (std::size_t i = static_cast<std::size_t>(pos) + 1; i < gates_.size();
        ++i) {
     Gate& g = gates_[i];
-    const bool keep = g.id == keep_reader;
-    g.id = GateId{static_cast<int>(i)};
-    driver_of_[static_cast<std::size_t>(g.output.value)] = g.id.value;
-    if (keep) continue;
+    driver_of_[static_cast<std::size_t>(g.output.value)] = static_cast<int>(i);
+    if (static_cast<int>(i) - 1 == keep_reader.value) continue;
     for (NetId& in : g.inputs) {
       if (in == net) {
         in = buffered;

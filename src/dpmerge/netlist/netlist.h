@@ -57,13 +57,16 @@ class Pins {
   std::uint8_t count_ = 0;
 };
 
+/// One cell instance. A gate stores no id: its id is its index in
+/// `Netlist::gates()` (`Netlist::id_of`), so large netlists pay 24 bytes a
+/// gate and inserting a gate renumbers nothing stored in the gates.
 struct Gate {
-  GateId id;
   CellType type = CellType::INV;
-  int drive = 0;  ///< drive-strength variant index (0 = X1)
+  std::uint8_t drive = 0;  ///< drive-strength variant index (0 = X1)
   Pins inputs;
   NetId output;
 };
+static_assert(sizeof(Gate) <= 24, "Gate is the netlist's unit of memory");
 
 /// A multi-bit signal: nets in LSB-first order. Mirrors BitVector semantics
 /// (resize = truncate or replicate the top net / tie to 0).
@@ -118,8 +121,9 @@ class Netlist {
   /// Splits the fanout of `net`: inserts a BUF reading `net` directly after
   /// its driver (at index 0 for a primary input) and moves every reader
   /// pin except those of gate `keep_reader` onto the buffer's output, a
-  /// fresh net. Later gates shift one slot, with their ids, drivers and
-  /// provenance tags, so the gate order stays topological. `keep_reader`
+  /// fresh net. Later gates shift one slot, with their drivers and
+  /// provenance tags, so the gate order stays topological and every later
+  /// gate's id (its index) grows by one. `keep_reader`
   /// is a gate id from before the call; pass GateId{} to rewire every
   /// reader. Output bus bits stay on `net`. Returns the number of reader
   /// pins moved. Throws std::invalid_argument for a constant or
@@ -157,6 +161,16 @@ class Netlist {
   std::vector<Gate>& mutable_gates() { return gates_; }
   int gate_count() const { return static_cast<int>(gates_.size()); }
   int net_count() const { return net_count_; }
+  /// The id of a gate of this netlist (a reference into `gates()`).
+  GateId id_of(const Gate& g) const {
+    return GateId{static_cast<int>(&g - gates_.data())};
+  }
+
+  /// Reserves room for `gates` gates and `nets` nets in total (constants
+  /// included), so building up to that size reallocates nothing. An
+  /// over-estimate costs only address space: pages are touched as gates
+  /// are written.
+  void reserve(std::size_t gates, std::size_t nets);
 
   // ---- provenance tags (dpmerge::obs) ----
   // Side metadata only: the DFG node whose synthesis created each gate.

@@ -73,7 +73,8 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
       const NetId m = map[static_cast<std::size_t>(in.value)];
       if (!m.valid()) {
         throw std::invalid_argument(
-            "simplify: gate " + std::to_string(g.id.value) + " reads net " +
+            "simplify: gate " + std::to_string(n.id_of(g).value) +
+            " reads net " +
             std::to_string(in.value) +
             ", which is neither a primary input nor driven by an earlier "
             "gate");

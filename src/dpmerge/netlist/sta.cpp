@@ -265,8 +265,9 @@ void IncrementalSta::update_drive_change(GateId g) {
     undo_loads_.push_back({in.value, load_[ni]});
     load_[ni] = reader_load(in);
     if (const Gate* drv = net_.driver(in)) {
-      mark(drv->id.value);
-      lowest = std::min(lowest, drv->id.value);
+      const int d = net_.id_of(*drv).value;
+      mark(d);
+      lowest = std::min(lowest, d);
     }
   }
   // The gate itself: its drive resistance changed.
@@ -306,7 +307,8 @@ void IncrementalSta::rollback() {
 void IncrementalSta::buffer_inserted(NetId net) {
   const std::vector<Gate>& gates = net_.gates();
   const Gate* drv = net_.driver(net);
-  const int pos = drv ? drv->id.value + 1 : 0;
+  const int drv_id = drv ? net_.id_of(*drv).value : -1;
+  const int pos = drv_id + 1;
   const NetId buffered =
       static_cast<std::size_t>(pos) < gates.size()
           ? gates[static_cast<std::size_t>(pos)].output
@@ -376,11 +378,11 @@ void IncrementalSta::buffer_inserted(NetId net) {
 
   // The driver's delay saw the load change, the buffer is new, and the
   // moved readers read a new net.
-  if (drv) mark(drv->id.value);
+  if (drv) mark(drv_id);
   mark(pos);
   for (int r : moved_) mark(r);
   undo_nets_.clear();
-  propagate(drv ? drv->id.value : pos);
+  propagate(drv ? drv_id : pos);
   refresh_longest();
 }
 

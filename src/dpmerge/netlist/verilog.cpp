@@ -66,7 +66,7 @@ std::string to_verilog(const Netlist& n, const std::string& module_name) {
   for (const Gate& g : n.gates()) {
     const auto pn = pins(g.type);
     os << "  " << to_string(g.type) << drive_suffix(g.drive) << " g"
-       << g.id.value << " (";
+       << n.id_of(g).value << " (";
     for (std::size_t i = 0; i < g.inputs.size(); ++i) {
       os << "." << pn[i] << "(n[" << g.inputs[i].value << "]), ";
     }

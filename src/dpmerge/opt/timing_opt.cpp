@@ -104,7 +104,7 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
       const double gain = (cur.drive_res_ns - up.drive_res_ns) * ista.load(pn);
       if (gain > best_gain) {
         best_gain = gain;
-        best_gate = d->id;
+        best_gate = net.id_of(*d);
       }
     }
 
@@ -113,7 +113,7 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
       Gate& g = net.mutable_gates()[static_cast<std::size_t>(best_gate.value)];
       const double before_ns = ista.longest_path_ns();
       ++g.drive;
-      ista.update_drive_change(g.id);
+      ista.update_drive_change(best_gate);
       check();
       const double delta_ns = before_ns - ista.longest_path_ns();
       if (delta_ns > 1e-9) {
@@ -162,7 +162,7 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
         for (std::size_t i = 0; i + 1 < path.size(); ++i) {
           if (path[i] == worst) {
             const Gate* nxt = net.driver(path[i + 1]);
-            if (nxt) keep_gate = nxt->id.value;
+            if (nxt) keep_gate = net.id_of(*nxt).value;
           }
         }
         const double before_ns = ista.longest_path_ns();
@@ -220,10 +220,11 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
     for (int n = 0; n < net.net_count(); ++n) {
       const Gate* d = net.driver(NetId{n});
       if (!d) continue;
-      Gate& g = net.mutable_gates()[static_cast<std::size_t>(d->id.value)];
+      const GateId id = net.id_of(*d);
+      Gate& g = net.mutable_gates()[static_cast<std::size_t>(id.value)];
       while (g.drive > 0) {
         --g.drive;
-        ista.update_drive_change(g.id);
+        ista.update_drive_change(id);
         check();
         if (ista.longest_path_ns() <= opt.target_ns) {
           ++res.moves;

@@ -1,10 +1,14 @@
 #include "dpmerge/synth/flow.h"
 
+#include <array>
 #include <cassert>
+#include <cstdint>
+#include <new>
 #include <optional>
 
 #include "dpmerge/check/check.h"
 #include "dpmerge/synth/cluster_synth.h"
+#include "dpmerge/synth/estimate.h"
 #include "dpmerge/transform/shrink_widths.h"
 #include "dpmerge/transform/width_prune.h"
 
@@ -35,6 +39,17 @@ Netlist synthesize_partition(const Graph& g, const Partition& p,
                              const InfoAnalysis& ia,
                              const SynthOptions& opt) {
   Netlist net;
+  // One reservation up front: no gate vector regrows while the netlist is
+  // built. The bound over-estimates; the slack is never touched. A bound
+  // the allocator will not promise at once (it can exceed the gates built
+  // several times over) leaves the vectors to grow as before.
+  const NetlistEstimate est =
+      estimate_netlist(g, p, ia, opt.adder, opt.booth_multipliers);
+  try {
+    net.reserve(static_cast<std::size_t>(est.gates),
+                static_cast<std::size_t>(est.nets));
+  } catch (const std::bad_alloc&) {
+  }
   std::vector<Signal> sig(static_cast<std::size_t>(g.node_count()));
 
   for (NodeId id : g.freeze().topo) {
@@ -172,9 +187,17 @@ void finalize_flow_report(obs::FlowReport& rep, const Graph& g,
   rep.merge_decisions = arith - p.num_clusters();
   rep.csa_rows = sink.get("synth.csa.rows");
   rep.cpa_count = sink.get("synth.cpa.count");
-  rep.cells_by_type.clear();
+  // Count into an array indexed by cell type; only the types present get a
+  // name in the histogram.
+  std::array<std::int64_t, netlist::kCellTypes> count{};
   for (const netlist::Gate& gate : net.gates()) {
-    ++rep.cells_by_type[std::string(netlist::to_string(gate.type))];
+    ++count[static_cast<std::size_t>(gate.type)];
+  }
+  rep.cells_by_type.clear();
+  for (std::size_t t = 0; t < count.size(); ++t) {
+    if (count[t] == 0) continue;
+    rep.cells_by_type.emplace(
+        netlist::to_string(static_cast<netlist::CellType>(t)), count[t]);
   }
 }
 

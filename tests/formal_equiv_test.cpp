@@ -103,7 +103,8 @@ TEST(FormalEquiv, DetectsInjectedNetlistBug) {
   const netlist::Gate* drv = res.net.driver(msb);
   ASSERT_NE(drv, nullptr);
   ASSERT_EQ(drv->type, netlist::CellType::XOR2);
-  res.net.mutable_gates()[static_cast<std::size_t>(drv->id.value)].type =
+  res.net.mutable_gates()[static_cast<std::size_t>(res.net.id_of(*drv).value)]
+      .type =
       netlist::CellType::XNOR2;
   const auto r = check_netlist_vs_graph(res.net, g);
   EXPECT_EQ(r.status, EquivResult::Status::Different);

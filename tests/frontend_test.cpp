@@ -5,6 +5,7 @@
 #include "dpmerge/dfg/builder.h"
 #include "dpmerge/dfg/eval.h"
 #include "dpmerge/formal/equiv.h"
+#include "dpmerge/support/limits.h"
 #include "dpmerge/synth/flow.h"
 #include "dpmerge/synth/verify.h"
 
@@ -164,6 +165,42 @@ TEST(Frontend, OutOfRangeNumbersAreLocatedParseErrors) {
   // The largest literal that fits still compiles.
   EXPECT_NO_THROW(
       compile("input a : u8\noutput y : u70 = a + 9223372036854775807\n"));
+}
+
+TEST(Frontend, WidthsPastTheLimitAreLocatedParseErrors) {
+  auto expect_located = [](const std::string& src, int line, int col,
+                           const std::string& frag) {
+    try {
+      compile(src);
+      FAIL() << "expected error: " << frag;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), line) << e.what();
+      EXPECT_EQ(e.column(), col) << e.what();
+      EXPECT_NE(std::string(e.what()).find(frag), std::string::npos)
+          << e.what();
+    }
+  };
+  const std::string max = std::to_string(Limits::max_width);
+  const std::string over = std::to_string(Limits::max_width + 1);
+  // Declared widths, at the type token.
+  expect_located("input x : u2000000000\noutput y : u8 = x + x\n", 1, 11,
+                 "exceeds the limit");
+  expect_located("input x : s" + over + "\noutput y : u8 = x\n", 1, 11,
+                 "exceeds the limit");
+  expect_located("input x : u8\noutput y : u" + over + " = x\n", 2, 12,
+                 "exceeds the limit");
+  // Derived widths, at the operator that would exceed the limit.
+  expect_located("input x : u" + max + "\noutput y : u8 = x + x\n", 2, 19,
+                 "expression width " + over);
+  expect_located("input x : u" + max + "\noutput y : u8 = -x\n", 2, 17,
+                 "expression width " + over);
+  expect_located("input x : u" + max +
+                     "\ninput z : u1\noutput y : u8 = x * z\n",
+                 3, 19, "expression width " + over);
+  expect_located("input x : u" + max + "\noutput y : u8 = x << 1\n", 2, 22,
+                 "shift amount out of range");
+  // At the limit itself everything still compiles.
+  EXPECT_NO_THROW(compile("input x : u" + max + "\noutput y : u8 = x\n"));
 }
 
 TEST(Frontend, DeepNestingIsALocatedParseError) {

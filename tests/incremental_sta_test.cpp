@@ -133,7 +133,7 @@ TEST(IncrementalSta, RebuildRestoresInvariantsAfterTopologyEdit) {
   GateId keep{};
   for (const auto& g : flow.net.gates()) {
     for (NetId in : g.inputs) {
-      if (in == worst && keep.value < 0) keep = g.id;
+      if (in == worst && keep.value < 0) keep = flow.net.id_of(g);
     }
   }
   EXPECT_GT(flow.net.insert_buffer(worst, keep), 0);
@@ -151,12 +151,13 @@ TEST(IncrementalSta, DownsizeSequencesStayConsistent) {
   IncrementalSta ista(flow.net, lib);
   expect_matches_full(flow.net, ista, sta, "all X4");
   for (auto& g : flow.net.mutable_gates()) {
+    const GateId id = flow.net.id_of(g);
     --g.drive;
-    ista.update_drive_change(g.id);
+    ista.update_drive_change(id);
     ++g.drive;
-    ista.update_drive_change(g.id);
+    ista.update_drive_change(id);
     --g.drive;
-    ista.update_drive_change(g.id);
+    ista.update_drive_change(id);
   }
   expect_matches_full(flow.net, ista, sta, "after recovery walk");
 }

@@ -7,6 +7,7 @@
 #include "dpmerge/dfg/builder.h"
 #include "dpmerge/dfg/eval.h"
 #include "dpmerge/dfg/random_graph.h"
+#include "dpmerge/support/limits.h"
 
 namespace dpmerge::dfg {
 namespace {
@@ -85,6 +86,33 @@ TEST(Io, ErrorsCarryLineNumbers) {
   expect_throw("dfg v1\ninput a 8\nnode t add 8\nedge a t 0 8 signed\n",
                "graph invalid");
   expect_throw("", "empty input");
+}
+
+TEST(Io, WidthsPastTheLimitReportLineAndColumn) {
+  auto expect_throw = [](const std::string& text, const std::string& what) {
+    try {
+      parse_graph(text);
+      FAIL() << "expected parse failure: " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), what);
+    }
+  };
+  const std::string over = std::to_string(Limits::max_width + 1);
+  const std::string limit = " exceeds the width limit of " +
+                            std::to_string(Limits::max_width) + " bits";
+  expect_throw("dfg v1\ninput a 2000000000\n",
+               "line 2:9: '2000000000'" + limit);
+  expect_throw("dfg v1\n  output r " + over + "\n",
+               "line 2:12: '" + over + "'" + limit);
+  expect_throw("dfg v1\nconst k " + over + " 3\n",
+               "line 2:9: '" + over + "'" + limit);
+  expect_throw("dfg v1\nnode t add " + over + "\n",
+               "line 2:12: '" + over + "'" + limit);
+  expect_throw("dfg v1\nnode s shl 8 " + over + "\n",
+               "line 2:14: '" + over + "'" + limit);
+  expect_throw("dfg v1\ninput a 8\nnode t neg 9\nedge a t 0 " + over +
+                   " signed\n",
+               "line 4:12: '" + over + "'" + limit);
 }
 
 TEST(Io, BadNumbersReportLineAndToken) {

@@ -91,6 +91,10 @@ TEST(Kernels, Checksum8Wraps) {
   EXPECT_EQ(out.at("m") & 0xFF, (200 + 201 + 202 + 203 + 2) & 0xFF);
 }
 
+// 4096 stimuli: a miscompiled biquad (a constant coefficient read with
+// the wrong sign) failed on about 1 stimulus in 370, which 24 missed.
+constexpr int kVerifyStimuli = 4096;
+
 TEST(Kernels, AllFlowsAndFoldVerify) {
   for (const auto& k : dsp_kernels()) {
     for (auto flow : {synth::Flow::NoMerge, synth::Flow::OldMerge,
@@ -98,7 +102,8 @@ TEST(Kernels, AllFlowsAndFoldVerify) {
       const auto res = synth::run_flow(k.graph, flow);
       Rng rng(7);
       std::string why;
-      ASSERT_TRUE(synth::verify_netlist(res.net, k.graph, 24, rng, &why))
+      ASSERT_TRUE(
+          synth::verify_netlist(res.net, k.graph, kVerifyStimuli, rng, &why))
           << k.name << " " << std::string(synth::to_string(flow)) << ": "
           << why;
     }
@@ -108,7 +113,8 @@ TEST(Kernels, AllFlowsAndFoldVerify) {
     Rng rng(8);
     std::string why;
     // Verify the simplified netlist against the ORIGINAL kernel.
-    ASSERT_TRUE(synth::verify_netlist(slim, k.graph, 24, rng, &why))
+    ASSERT_TRUE(
+        synth::verify_netlist(slim, k.graph, kVerifyStimuli, rng, &why))
         << k.name << ": " << why;
   }
 }

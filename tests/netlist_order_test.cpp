@@ -160,7 +160,7 @@ int forward_references(const Netlist& n) {
   for (const Gate& g : n.gates()) {
     for (NetId in : g.inputs) {
       const Gate* d = n.driver(in);
-      if (d && d->id.value >= g.id.value) ++count;
+      if (d && n.id_of(*d).value >= n.id_of(g).value) ++count;
     }
   }
   return count;
@@ -169,9 +169,6 @@ int forward_references(const Netlist& n) {
 void expect_order_matches_kahn(const Netlist& n, const std::string& what,
                                Rng& rng) {
   SCOPED_TRACE(what);
-  for (std::size_t gi = 0; gi < n.gates().size(); ++gi) {
-    ASSERT_EQ(n.gates()[gi].id.value, static_cast<int>(gi));
-  }
   EXPECT_EQ(forward_references(n), 0);
   EXPECT_TRUE(n.validate().empty());
   const std::vector<int> order = kahn_order(n);
@@ -225,7 +222,13 @@ TEST(NetlistOrder, RandomGraphsMatchKahnOracle) {
 /// optimiser validates the gate order and compares incremental timing with
 /// a full analysis (throwing on any failure). The pinned results are those
 /// of the optimiser before buffers were inserted in place, when each split
-/// appended its buffer and re-sorted the netlist.
+/// appended its buffer and re-sorted the netlist. Two cells are pinned on
+/// a later netlist: biquad/new-merge and dct4/new-merge multiply by
+/// constants with the top bit set, which the Huffman bound once read as
+/// negative (13 as -3). Read as the multiplier receives them, the bounds on
+/// their cluster roots widen and the netlists change: biquad from 4 moves,
+/// 3.447 ns, area 39.64 (a netlist that failed verification) to the pins
+/// below, dct4 from 35 moves, 2.674 ns, area 40.82.
 TEST(NetlistOrder, OptimiserKeepsOrderAndPinnedResults) {
   struct Pinned {
     int moves;
@@ -253,13 +256,13 @@ TEST(NetlistOrder, OptimiserKeepsOrderAndPinnedResults) {
        {4, 2.8704000000000001, 22.09}},  // fir8
       {{147, 4.898098000000001, 48.42440000000007},
        {147, 4.898098000000001, 48.42440000000007},
-       {4, 3.4470000000000005, 39.640000000000001}},  // biquad
+       {23, 3.5271800000000004, 43.75}},  // biquad
       {{642, 9.7606879999999911, 151.37719999999911},
        {642, 9.7606879999999911, 151.37719999999911},
        {124, 4.0655999999999999, 143.55679999999987}},  // complex_mul
       {{173, 3.7462960000000005, 60.22440000000006},
        {173, 3.7462960000000005, 59.904400000000059},
-       {35, 2.6742020000000011, 40.821999999999996}},  // dct4
+       {38, 2.6920000000000006, 42.859999999999999}},  // dct4
       {{67, 2.8141940000000005, 35.066800000000001},
        {67, 2.8141940000000005, 35.066800000000001},
        {52, 2.3846870000000009, 29.342399999999987}},  // matvec3
